@@ -25,22 +25,19 @@
 // Usage:
 //
 //	mpserved [-addr host:port] [-procs N] [-inflight N] [-queue N]
-//	         [-deadline ticks] [-tick d] [-quantum d] [-distributed]
-//	         [-ring N] [-trace out.json] [-batch N]
+//	         [-deadline ticks] [-tick d] [-quantum d]
+//	         [-ring N] [-trace out.json]
 //	         [-shards N] [-rebalance ticks] [-route-header name] [-steal N]
-//	         [-reply-coalesce=bool] [-reply-spin N] [-fair-locks]
-//	         [-mux] [-pollers N] [-maxconns N] [-idle ticks]
+//	         [-fair-locks] [-mux] [-pollers N] [-maxconns N] [-idle ticks]
 //	         [-autoscale] [-min-shards N] [-max-shards N]
-//	         [-scale-up-load N] [-scale-down-load N]
 //	         [-mlalloc] [-ml-nursery W] [-ml-semi W] [-ml-chunk W]
-//	         [-ml-region W] [-gc-seq] [-gc-aware=bool]
+//	         [-ml-region W]
 //
 // -mlalloc installs the allocating /work/mlalloc kernel backed by the
 // ML heap (internal/mlheap + internal/gcsync): request threads attach
 // as procs, allocate with bump pointers, and collect in parallel at
-// clean-point barriers.  -gc-seq selects the paper's one-collector
-// stop (the BENCH_gc ablation); -gc-aware=false drops the GC-aware
-// spin locks from the admission and forward-ring paths.
+// clean-point barriers; every serving-path lock polls the GC section,
+// so a stop-the-world is never stalled by a lock queue.
 //
 // In fabric mode the membership is elastic: the admin /scale?shards=N
 // endpoint (and, with -autoscale, a load-driven autoscaler) acquires
@@ -78,16 +75,12 @@ func main() {
 	deadline := flag.Int64("deadline", 2000, "per-request deadline in clock ticks")
 	tick := flag.Duration("tick", time.Millisecond, "wall duration of one clock tick")
 	quantum := flag.Duration("quantum", 0, "preemption quantum (0 = cooperative only)")
-	distributed := flag.Bool("distributed", false, "use distributed run queues")
 	ring := flag.Int("ring", 1<<14, "trace ring size per proc (0 = no tracer)")
 	tracePath := flag.String("trace", "", "also write the trace to this file at exit")
-	batch := flag.Int("batch", 16, "max units per batched transfer (dispatch drain, multi-push, steal claim); 1 disables batching")
 	shards := flag.Int("shards", 1, "backend shard count (>1 runs the sharded fabric)")
 	rebalance := flag.Int64("rebalance", 50, "fabric: rebalancer period in front ticks (0 disables)")
 	routeHeader := flag.String("route-header", "X-Shard-Key", "fabric: sticky consistent-hash routing header")
 	steal := flag.Int("steal", 2, "fabric: min sibling ring occupancy before an idle shard steals (0 disables)")
-	replyCoalesce := flag.Bool("reply-coalesce", true, "fabric: batch reply completion + coalesced response writes (false restores per-cell waits and per-response writes)")
-	replySpin := flag.Int("reply-spin", 64, "fabric: adaptive reply spin budget cap, in yields before parking")
 	mux := flag.Bool("mux", false, "fabric: event-multiplexed front (poller pool instead of a thread per connection)")
 	pollers := flag.Int("pollers", 2, "fabric: poller thread count in -mux mode")
 	maxConns := flag.Int("maxconns", 0, "fabric: max concurrently-held front connections (0 = fabric default)")
@@ -100,16 +93,12 @@ func main() {
 	autoscale := flag.Bool("autoscale", false, "fabric: load-driven whole-shard scale up/down between -min-shards and -max-shards")
 	minShards := flag.Int("min-shards", 0, "fabric: membership floor (0 = 1)")
 	maxShards := flag.Int("max-shards", 0, "fabric: membership ceiling (0 = 2x -shards, capped by the boot proc budget)")
-	scaleUpLoad := flag.Int("scale-up-load", 0, "fabric: mean ring depth per member that votes a shard in (0 = default 8)")
-	scaleDownLoad := flag.Int("scale-down-load", 0, "fabric: mean ring depth per member that votes a shard out (0 = default 2)")
 	mlalloc := flag.Bool("mlalloc", false, "install the allocating /work/mlalloc kernel backed by the ML heap (fabric: one world per member)")
 	mlNursery := flag.Int("ml-nursery", 1<<16, "mlalloc: nursery size in words")
 	mlSemi := flag.Int("ml-semi", 1<<20, "mlalloc: semispace size in words")
 	mlChunk := flag.Int("ml-chunk", 1024, "mlalloc: per-proc allocation chunk in words")
 	mlRegion := flag.Int("ml-region", 512, "mlalloc: per-collector copy region in words")
-	gcSeq := flag.Bool("gc-seq", false, "mlalloc: sequential one-collector stop-the-world (ablation baseline; default parallel)")
-	gcAware := flag.Bool("gc-aware", true, "mlalloc: GC-aware spin locks on the admission/ring paths (false = plain locks ablation)")
-	fairLocks := flag.Bool("fair-locks", false, "FIFO claim/release locks on the hot paths (rings, reply waits, mux inbox, admission guards); false = TAS spin ablation baseline")
+	fairLocks := flag.Bool("fair-locks", false, "FIFO claim/release locks on the hot paths (rings, reply waits, mux inbox, admission guards) instead of TAS spin locks")
 	flag.Parse()
 
 	if *shards > 1 || *mux {
@@ -127,10 +116,7 @@ func main() {
 			QueueDepth:     *queueDepth,
 			DeadlineTicks:  *deadline,
 			IdleTicks:      *idle,
-			BatchMax:       *batch,
 			StealMin:       *steal,
-			ReplySpin:      *replySpin,
-			PerCellReplies: !*replyCoalesce,
 			FairLocks:      *fairLocks,
 			RebalanceTicks: *rebalance,
 			RouteHeader:    *routeHeader,
@@ -147,24 +133,17 @@ func main() {
 			Autoscale:      *autoscale,
 			MinShards:      *minShards,
 			MaxShards:      *maxShards,
-			ScaleUpLoad:    *scaleUpLoad,
-			ScaleDownLoad:  *scaleDownLoad,
 			MLAlloc:        *mlalloc,
 			MLNursery:      *mlNursery,
 			MLSemi:         *mlSemi,
 			MLChunk:        *mlChunk,
 			MLRegion:       *mlRegion,
-			MLGCSequential: *gcSeq,
-			MLGCPlainLocks: !*gcAware,
 		})
 		return
 	}
 
 	pl := proc.New(*procs)
-	sys := threads.New(pl, threads.Options{
-		Distributed: *distributed,
-		Quantum:     *quantum,
-	})
+	sys := threads.New(pl, threads.Options{Quantum: *quantum})
 
 	// The tracer is private to the server (see serve.Options.Tracer): the
 	// /trace endpoint's stop-the-world snapshot quiesces serve's own
@@ -185,7 +164,6 @@ func main() {
 			RegionWords:  *mlRegion,
 			Procs:        *inflight,
 		})
-		world.SetSequential(*gcSeq)
 	}
 
 	srv, err := serve.New(sys, serve.Options{
@@ -193,11 +171,9 @@ func main() {
 		MaxInFlight:   *inflight,
 		QueueDepth:    *queueDepth,
 		DeadlineTicks: *deadline,
-		DispatchBatch: *batch,
 		Tick:          *tick,
 		Tracer:        tr,
 		MLWorld:       world,
-		MLGCAware:     *gcAware,
 		FairLocks:     *fairLocks,
 
 		StreamHeartbeatTicks: *hb,
@@ -300,9 +276,9 @@ func runFabric(opts shard.Options) {
 	if opts.Mux {
 		front = fmt.Sprintf("mux/pollers=%d", opts.Pollers)
 	}
-	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks batch=%d steal=%d reply-coalesce=%v reply-spin=%d fair-locks=%v front=%s autoscale=%v)\n",
+	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks fair-locks=%v front=%s autoscale=%v)\n",
 		fab.Addr(), opts.Shards, opts.BackendProcs, opts.MaxInFlight, opts.RebalanceTicks,
-		opts.BatchMax, opts.StealMin, !opts.PerCellReplies, opts.ReplySpin, opts.FairLocks, front, opts.Autoscale)
+		opts.FairLocks, front, opts.Autoscale)
 	start := time.Now()
 	for _, r := range fab.Runners() {
 		opts.Spawn(r)

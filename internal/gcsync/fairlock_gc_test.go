@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/mlheap"
+	"repro/internal/spinlock"
 	"repro/internal/syncx"
 )
 
@@ -109,5 +110,47 @@ func TestFairLockSaturatedQueueDoesNotStallSTW(t *testing.T) {
 	snap := w.Heap().Metrics().Snapshot()
 	if snap.Get("gcsync.section_entries") == 0 {
 		t.Fatal("fair claim loop took no section entries")
+	}
+}
+
+// TestLockFactoryPollsIffWorld: the fabric's one lock constructor must
+// install the GC-section poll exactly when it is handed a world, in both
+// lock families.  A nil *World inside the interface — what an unset
+// serve.Options.MLWorld becomes when passed straight through — counts as
+// no world: either family's poll would dereference it on the first Lock,
+// so surviving Lock is the proof the poll was left out.
+func TestLockFactoryPollsIffWorld(t *testing.T) {
+	live := NewWorld(parCfg(1))
+	sections := func() int64 {
+		return live.Heap().Metrics().Snapshot().Get("gcsync.section_entries")
+	}
+	worlds := []struct {
+		name string
+		w    spinlock.GCWorld
+	}{
+		{"nil", nil},
+		{"typed-nil", (*World)(nil)},
+		{"live", live},
+	}
+	for _, fair := range []bool{false, true} {
+		for _, tc := range worlds {
+			lock := syncx.LockFactory(fair, tc.w, nil)()
+			if _, isFair := lock.(*syncx.FairLock); isFair != fair {
+				t.Errorf("fair=%v world=%s: built a %T", fair, tc.name, lock)
+			}
+			// A pending section with no plan and an unbound goroutine: a
+			// polling acquisition counts one section entry and yields.
+			live.gcFlag.Store(true)
+			before := sections()
+			lock.Lock()
+			if lock.TryLock() {
+				t.Errorf("fair=%v world=%s: TryLock succeeded on a held lock", fair, tc.name)
+			}
+			lock.Unlock()
+			live.gcFlag.Store(false)
+			if polled := sections() > before; polled != (tc.w == live) {
+				t.Errorf("fair=%v world=%s: polled the live world = %v", fair, tc.name, polled)
+			}
+		}
 	}
 }

@@ -187,8 +187,7 @@ func TestParallelWorldTorture(t *testing.T) {
 }
 
 // TestSequentialAblationFlag: SetSequential must select the paper's
-// one-collector path (the BENCH_gc baseline) and still collect
-// correctly.
+// one-collector path and still collect correctly.
 func TestSequentialAblationFlag(t *testing.T) {
 	w := NewWorld(parCfg(2))
 	w.SetSequential(true)

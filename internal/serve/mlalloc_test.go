@@ -27,7 +27,7 @@ func mlWorldForTest(procs int) *gcsync.World {
 
 func TestMLAllocEndToEnd(t *testing.T) {
 	world := mlWorldForTest(8)
-	ts := startServer(t, 4, Options{MLWorld: world, MLGCAware: true}, nil)
+	ts := startServer(t, 4, Options{MLWorld: world}, nil)
 
 	const clients, reqs = 6, 5
 	var wg sync.WaitGroup
@@ -78,8 +78,9 @@ func TestMLAllocEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMLAllocSequentialAblation: the -gc-seq configuration must serve
-// the same kernel correctly with the paper's one-collector stop.
+// TestMLAllocSequentialAblation: a world switched to the paper's
+// one-collector stop (World.SetSequential) must serve the same kernel
+// correctly.
 func TestMLAllocSequentialAblation(t *testing.T) {
 	world := mlWorldForTest(8)
 	world.SetSequential(true)
@@ -93,5 +94,62 @@ func TestMLAllocSequentialAblation(t *testing.T) {
 	}
 	if world.GCs() == 0 {
 		t.Fatal("sequential world performed no collections under load")
+	}
+}
+
+// TestMLAllocFoldSurvivesCollections is the regression test for the
+// fold cursor: the fold takes a clean point every mlFoldStride cells,
+// and a copying collection there moves the cell the cursor stands on,
+// so the cursor must be a registered root or the rest of the walk reads
+// from-space.  The heap is tight enough that every request's allocation
+// phase raises several collections, so with concurrent requests some
+// always land inside another request's fold; every reply must still
+// count all n cells and fold to n·seed + n(n−1)/2.
+func TestMLAllocFoldSurvivesCollections(t *testing.T) {
+	const n = 8 * mlFoldStride
+	world := gcsync.NewWorld(mlheap.Config{
+		NurseryWords: 1 << 13,
+		SemiWords:    1 << 18,
+		ChunkWords:   256,
+		RegionWords:  256,
+		Procs:        8,
+	})
+	ts := startServer(t, 4, Options{MLWorld: world}, nil)
+
+	const clients, reqs = 6, 12
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*reqs)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < reqs; r++ {
+				seed := int64(c*1000 + r)
+				path := fmt.Sprintf("/work/mlalloc?n=%d&seed=%d", n, seed)
+				st, _, body, err := doReq(ts.addr(), "GET", path, nil, 30*time.Second)
+				if err != nil || st != 200 {
+					errs <- fmt.Errorf("seed %d: status %d err %v body %q", seed, st, err, body)
+					return
+				}
+				var gotN, cells, gcs int
+				var sum, fold int64
+				if _, err := fmt.Sscanf(string(body), "mlalloc n=%d cells=%d sum=%d fold=%d gcs=%d",
+					&gotN, &cells, &sum, &fold, &gcs); err != nil {
+					errs <- fmt.Errorf("seed %d: unparseable body %q: %v", seed, body, err)
+					return
+				}
+				if want := n*seed + n*(n-1)/2; cells != n || fold != want {
+					errs <- fmt.Errorf("seed %d: cells=%d fold=%d, want cells=%d fold=%d", seed, cells, fold, n, want)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if gcs := world.GCs(); gcs < clients*reqs {
+		t.Fatalf("only %d collections over %d requests: the heap is not tight enough to collect mid-fold", gcs, clients*reqs)
 	}
 }

@@ -62,7 +62,6 @@ import (
 	"repro/internal/mlio"
 	"repro/internal/proc"
 	"repro/internal/queue"
-	"repro/internal/spinlock"
 	"repro/internal/syncx"
 	"repro/internal/threads"
 	"repro/internal/trace"
@@ -135,22 +134,18 @@ type Options struct {
 	ExtraMetrics []NamedRegistry
 	// MLWorld, when non-nil, is a shared gcsync heap world for this
 	// server's procs: the /work/mlalloc allocating kernel is installed,
-	// the world's yield hook is pointed at the thread scheduler, and the
-	// world's registry (pause/copy/section counters) joins /metrics.
+	// the world's yield hook is pointed at the thread scheduler, the
+	// world's registry (pause/copy/section counters) joins /metrics, and
+	// the admission semaphores' guards, the state lock and the mlalloc
+	// shared-registry lock poll the world's GC section, so a thread
+	// waiting on a serving-path lock joins or helps a pending collection
+	// instead of convoying it.
 	MLWorld *gcsync.World
-	// MLGCAware guards the server's admission semaphores, state lock and
-	// the mlalloc shared-registry lock with GC-aware locks over MLWorld
-	// (spinlock.GCAware), so a thread spinning on serving-path locks
-	// joins or helps a pending collection instead of convoying it.
-	// Ignored without MLWorld; the off state is the ablation baseline.
-	MLGCAware bool
 	// FairLocks replaces the TAS spin locks guarding the admission
 	// semaphores, state lock, and mlalloc registry lock with the FIFO
 	// claim/release locks (syncx.FairLock): contenders queue in claim
 	// order and releases hand off instead of re-racing, so under skew no
-	// dispatcher loses the acquisition race repeatedly.  When MLWorld is
-	// set with MLGCAware the fair claim loop also polls the GC section.
-	// Off by default — the spin path is the ablation baseline.
+	// dispatcher loses the acquisition race repeatedly.  Off by default.
 	FairLocks bool
 }
 
@@ -293,23 +288,11 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: listener %T is not a *net.TCPListener", ln)
 		}
 	}
-	// With a GC-aware world, the admission semaphores' guards and the
-	// state lock poll the GC section while spinning: these are exactly
-	// the locks a stopped-for-collection worker may hold, and a spinner
+	// With an ML world, the admission semaphores' guards and the state
+	// lock poll the GC section on every acquisition: these are exactly
+	// the locks a stopped-for-collection worker may hold, and a waiter
 	// that cannot reach a clean point would convoy the whole stop.
-	// FairLocks swaps the spin flavors for the FIFO claim/release locks;
-	// their claim loop polls the same GC section, so the two axes compose.
-	lockf := core.LockFactory(core.NewMutexLock)
-	if opts.MLWorld != nil && opts.MLGCAware {
-		lockf = spinlock.GCAware(core.NewMutexLock, opts.MLWorld)
-	}
-	if opts.FairLocks {
-		var gcw spinlock.GCWorld
-		if opts.MLWorld != nil && opts.MLGCAware {
-			gcw = opts.MLWorld
-		}
-		lockf = syncx.FairFactory(gcw, nil)
-	}
+	lockf := syncx.LockFactory(opts.FairLocks, opts.MLWorld, nil)
 	srv := &Server{
 		sys:     sys,
 		pl:      sys.Platform(),
@@ -380,7 +363,7 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 	}
 	srv.installBuiltins()
 	if opts.MLWorld != nil {
-		srv.initMLAlloc()
+		srv.initMLAlloc(lockf())
 		srv.opts.ExtraMetrics = append(srv.opts.ExtraMetrics,
 			NamedRegistry{Name: "mlheap", Reg: opts.MLWorld.Heap().Metrics()})
 	}
@@ -661,33 +644,8 @@ func (srv *Server) shedConn(conn net.Conn, arrival int64, counter *metrics.Count
 // and the caller owns the shed response.  Submit must be called from an
 // MP thread of this server's system.
 func (srv *Server) Submit(req *Request, remaining int64, deliver func(Response)) bool {
-	now := srv.clock.Now()
-	if remaining < 1 {
-		remaining = 1
-	}
-	req.srv = srv
-	req.Arrival = now
-	req.Deadline = now + remaining
-	self := proc.Self()
-	srv.state.Lock()
-	if srv.draining {
-		srv.state.Unlock()
-		srv.m.shedDrain.Inc(self)
-		return false
-	}
-	if srv.acceptQ.Len() >= srv.opts.QueueDepth {
-		srv.state.Unlock()
-		srv.m.shedQueue.Inc(self)
-		return false
-	}
-	srv.acceptQ.Enq(pending{job: &job{req: req, deliver: deliver}, arrival: now})
-	srv.state.Unlock()
-	srv.m.queued.Inc(self)
-	srv.m.queueDepth.Inc(self)
-	srv.m.submitted.Inc(self)
-	srv.emit(srv.evEnqueue, now)
-	srv.items.Release()
-	return true
+	one := [1]SubmitJob{{Req: req, Remaining: remaining, Deliver: deliver}}
+	return srv.SubmitMany(one[:]) == 1
 }
 
 // SubmitJob is one request in a SubmitMany batch.

@@ -184,110 +184,110 @@ func (fab *Fabric) connThread(nc net.Conn) {
 	jbuf := make([]job, fab.opts.BatchMax)
 	cells := make([]reply, fab.opts.BatchMax)
 	grp := &replyGroup{}
-	sp := newSpinState(fab.opts.ReplySpin)
+	sp := newSpinState(replySpin)
+	if fab.opts.FairLocks {
+		sp.min = sp.max // fixed budget: the memoryless fair wait
+	}
 	for {
 		headBudget := fab.opts.DeadlineTicks
 		if served > 0 {
 			headBudget = fab.opts.IdleTicks
 		}
 		req, err := c.ReadRequest(fab.clock.Now()+headBudget, fab.opts.DeadlineTicks)
-		if err == nil {
-			// The blocking read cost is paid; everything the client
-			// pipelined behind this request is already buffered and parses
-			// for free.  A Close request ends the batch — nothing after it
-			// will be answered.
-			reqs = append(reqs[:0], req)
-			var rerr error
-			for len(reqs) < fab.opts.BatchMax && !reqs[len(reqs)-1].Close {
-				nxt, ok, e := c.ReadBuffered(fab.opts.DeadlineTicks)
-				if e != nil {
-					rerr = e
-					break
-				}
-				if !ok {
-					break
-				}
-				reqs = append(reqs, nxt)
+		if err != nil {
+			if resp, ok := fab.readErrResponse(c, served, err); ok {
+				c.WriteResponse(resp, fab.clock.Now()+20, false)
 			}
-			// Snapshot the write cap before dispatch: Submit rebases
-			// req.Deadline onto the owning shard's clock (independent of
-			// the front clock, and starting at zero for a shard acquired
-			// at runtime), so after the batch returns the request objects
-			// no longer carry front-domain ticks.
-			last := reqs[len(reqs)-1]
-			capTick := last.Deadline + 20
-			resps = fab.dispatchBatch(reqs, chash, pend, jbuf, cells, grp, &sp, resps[:0])
-			if si := streamIndex(resps); si >= 0 {
-				fab.streamConn(c, resps, si, capTick)
-				break
-			}
-			keepAlive := rerr == nil && !last.Close && !fab.Draining()
-			if rerr != nil {
-				// Poisoned pipeline: the buffered bytes can never become a
-				// valid request, so answer the malformed successor too and
-				// close instead of re-parsing the same garbage forever.
-				bresp := serve.Response{Status: 400, Body: []byte("malformed request\n")}
-				if errors.Is(rerr, serve.ErrTooLarge) {
-					bresp = serve.Response{Status: 413, Body: []byte("request too large\n")}
-				}
-				resps = append(resps, bresp)
-			}
-			var werr error
-			if fab.opts.PerCellReplies {
-				// Benchmark baseline: the pre-coalescing write path, one
-				// render and one socket write per response.
-				for i := range resps {
-					werr = c.WriteResponse(resps[i], capTick, i < len(resps)-1 || keepAlive)
-					if werr != nil {
-						break
-					}
-				}
-			} else {
-				werr = c.WriteResponses(resps, capTick, keepAlive)
-			}
-			served += len(resps)
-			if werr != nil || !keepAlive {
-				break
-			}
-			continue
-		}
-		var resp serve.Response
-		silent := false
-		switch {
-		case errors.Is(err, serve.ErrDeadline):
-			if served > 0 && !c.Partial() {
-				silent = true
-				break
-			}
-			resp = serve.Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}
-		case errors.Is(err, serve.ErrAborted):
-			if !c.Partial() {
-				silent = true
-				break
-			}
-			resp = serve.Response{
-				Status:     503,
-				Body:       []byte("shedding load: draining\n"),
-				RetryAfter: fab.opts.RetryAfter,
-			}
-		case errors.Is(err, serve.ErrTooLarge):
-			resp = serve.Response{Status: 413, Body: []byte("request too large\n")}
-		case errors.Is(err, serve.ErrBadRequest):
-			resp = serve.Response{Status: 400, Body: []byte("malformed request\n")}
-		default:
-			silent = true
-		}
-		if silent {
 			break
 		}
-		c.WriteResponse(resp, fab.clock.Now()+20, false)
-		break
+		var badTail serve.Response
+		reqs, badTail = fab.gatherBatch(c, req, reqs)
+		// Snapshot the write cap before dispatch: Submit rebases
+		// req.Deadline onto the owning shard's clock (independent of
+		// the front clock, and starting at zero for a shard acquired
+		// at runtime), so after the batch returns the request objects
+		// no longer carry front-domain ticks.
+		last := reqs[len(reqs)-1]
+		capTick := last.Deadline + 20
+		resps = fab.dispatchBatch(reqs, chash, pend, jbuf, cells, grp, &sp, resps[:0])
+		if si := streamIndex(resps); si >= 0 {
+			fab.streamConn(c, resps, si, capTick)
+			break
+		}
+		poisoned := badTail.Status != 0
+		if poisoned {
+			resps = append(resps, badTail)
+		}
+		keepAlive := !poisoned && !last.Close && !fab.Draining()
+		werr := c.WriteResponses(resps, capTick, keepAlive)
+		served += len(resps)
+		if werr != nil || !keepAlive {
+			break
+		}
 	}
 	nc.Close()
 	fab.m.conns.Add(proc.Self(), -1)
 	fab.state.Lock()
 	fab.activeConns--
 	fab.state.Unlock()
+}
+
+// gatherBatch collects a dispatch batch behind head into reqs: the
+// blocking read cost is paid, so everything the client pipelined behind
+// it is already buffered and parses for free, up to BatchMax.  A Close
+// request ends the batch — nothing after it will be answered.  A
+// poisoned pipeline (buffered bytes that can never become a valid
+// request) ends it too, with badTail set (Status != 0): the front
+// answers the malformed successor after the batch and closes instead of
+// re-parsing the same garbage forever.
+func (fab *Fabric) gatherBatch(c *serve.Conn, head *serve.Request,
+	reqs []*serve.Request) (_ []*serve.Request, badTail serve.Response) {
+	reqs = append(reqs[:0], head)
+	for len(reqs) < fab.opts.BatchMax && !reqs[len(reqs)-1].Close {
+		nxt, ok, err := c.ReadBuffered(fab.opts.DeadlineTicks)
+		if err != nil {
+			return reqs, malformedResponse(err)
+		}
+		if !ok {
+			break
+		}
+		reqs = append(reqs, nxt)
+	}
+	return reqs, serve.Response{}
+}
+
+// malformedResponse answers bytes that cannot parse as a request.
+func malformedResponse(err error) serve.Response {
+	if errors.Is(err, serve.ErrTooLarge) {
+		return serve.Response{Status: 413, Body: []byte("request too large\n")}
+	}
+	return serve.Response{Status: 400, Body: []byte("malformed request\n")}
+}
+
+// readErrResponse is the fronts' taxonomy for a failed head read: the
+// response the client is owed, or ok false for a silent close — an idle
+// keep-alive connection that ran out its budget or met the drain with
+// nothing asked, and EOFs and resets, where there is nobody to tell.
+func (fab *Fabric) readErrResponse(c *serve.Conn, served int, err error) (resp serve.Response, ok bool) {
+	switch {
+	case errors.Is(err, serve.ErrDeadline):
+		if served > 0 && !c.Partial() {
+			return resp, false
+		}
+		return serve.Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}, true
+	case errors.Is(err, serve.ErrAborted):
+		if !c.Partial() {
+			return resp, false
+		}
+		return serve.Response{
+			Status:     503,
+			Body:       []byte("shedding load: draining\n"),
+			RetryAfter: fab.opts.RetryAfter,
+		}, true
+	case errors.Is(err, serve.ErrTooLarge), errors.Is(err, serve.ErrBadRequest):
+		return malformedResponse(err), true
+	}
+	return resp, false
 }
 
 // topicKey returns the routing key for a pub/sub request — its topic —
@@ -371,34 +371,24 @@ type pendingReply struct {
 // dispatchBatch routes a batch of pipelined requests, forwards each run
 // of consecutive same-shard requests as one multi-push (one spinlock
 // acquisition per run instead of per request), awaits the batch's reply
-// group — one adaptive-spin wait for the whole batch, since the last
+// group — one spin-then-park wait for the whole batch, since the last
 // delivery publishes it — and appends the responses to resps in request
-// order.  In Options.PerCellReplies mode the group is bypassed and each
-// cell is awaited in order (the benchmark baseline), through the same
-// adaptive spin budget.  /fabricz is answered at the front itself — the
-// fabric's own status endpoint.  pend, jbuf, and cells are caller-owned
-// scratch (≥ len(reqs) each); cells and grp are reusable because a wait
-// only returns once every pushed cell's delivery has fully completed.
+// order.  /fabricz is answered at the front itself — the fabric's own
+// status endpoint.  pend, jbuf, and cells are caller-owned scratch
+// (≥ len(reqs) each); cells and grp are reusable because the wait only
+// returns once every pushed cell's delivery has fully completed.
 func (fab *Fabric) dispatchBatch(reqs []*serve.Request, chash uint32,
 	pend []pendingReply, jbuf []job, cells []reply, grp *replyGroup,
 	sp *spinState, resps []serve.Response) []serve.Response {
-	g := grp
-	if fab.opts.PerCellReplies {
-		g = nil
-	} else {
-		grp.open()
+	grp.open()
+	// Cells shed on a full ring never reach a backend: seal retires them
+	// from the membership before the wait.
+	members := fab.forwardBatch(reqs, chash, pend, jbuf, cells, grp)
+	grp.seal(members)
+	if members > 0 {
+		fab.waitReply(grp.done, sp)
 	}
-	members := fab.forwardBatch(reqs, chash, pend, jbuf, cells, g)
-	if g != nil {
-		// Cells shed on a full ring never reach a backend: retire them
-		// from the membership before waiting.
-		g.seal(members)
-		if members > 0 {
-			fab.waitReply(g.done, sp)
-		}
-		sp = nil // group already waited; collect is pure reads
-	}
-	return fab.collectBatch(reqs, pend, sp, resps)
+	return fab.collectBatch(reqs, pend, resps)
 }
 
 // forwardBatch is the non-waiting front half of a dispatch: route every
@@ -492,21 +482,16 @@ func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32,
 }
 
 // collectBatch appends the batch's responses to resps in request order,
-// clearing pend as it goes.  With sp non-nil each cell is awaited in
-// order (the per-cell baseline); with sp nil every cell must already be
-// delivered — after a group wait, or a poller's grp.done() — so the
-// loop is pure reads.
+// clearing pend as it goes.  Every cell must already be delivered —
+// after the group wait, or a poller's grp.done() — so the loop is pure
+// reads.
 func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
-	sp *spinState, resps []serve.Response) []serve.Response {
+	resps []serve.Response) []serve.Response {
 	self := proc.Self()
 	for i := range reqs {
-		if pend[i].rep == nil {
+		if rep := pend[i].rep; rep == nil {
 			resps = append(resps, pend[i].resp)
 		} else {
-			rep := pend[i].rep
-			if sp != nil {
-				fab.waitReply(rep.done.Load, sp)
-			}
 			fab.m.replies.Inc(self)
 			fab.emit(fab.evReply, int64(rep.resp.Status))
 			resps = append(resps, rep.resp)
@@ -517,17 +502,12 @@ func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
 }
 
 // waitReply blocks the calling front thread until cond holds — a reply
-// cell's done flag or a group's countdown — through the connection's
-// adaptive spin budget (or, under Options.FairLocks, the memoryless
-// bounded fair wait), charging the reply-wait instruments.
+// group's countdown — through the connection's spin budget (adaptive,
+// or fixed under Options.FairLocks), charging the reply-wait
+// instruments.
 func (fab *Fabric) waitReply(cond func() bool, sp *spinState) {
 	t0 := fab.clock.Now()
-	var spins, parks int
-	if fab.opts.FairLocks {
-		spins, parks = fairWait(cond, fab.opts.ReplySpin, fab.frontSys.Yield, fab.park)
-	} else {
-		spins, parks = spinWait(cond, sp, fab.frontSys.Yield, fab.park)
-	}
+	spins, parks := spinWait(cond, sp, fab.frontSys.Yield, fab.park)
 	self := proc.Self()
 	if spins > 0 {
 		fab.m.replySpins.Add(self, int64(spins))

@@ -48,20 +48,25 @@ import (
 	"repro/internal/proc"
 	"repro/internal/pubsub"
 	"repro/internal/serve"
-	"repro/internal/spinlock"
 	"repro/internal/syncx"
 	"repro/internal/threads"
 )
 
-// fairLockFactory builds the FIFO claim/release locks Options.FairLocks
-// deploys on the fabric's hot paths, charging every *contended* claim's
-// queue wait (in claim-loop yields) to the shard.ring_wait_ticks
-// histogram.  A non-nil gcw makes each claim-loop iteration a GC safe
-// point.  The observer reads fab.m lazily: backends and pollers are
-// built before New populates the instrument struct, and nothing locks
-// until the host starts the Runners.
-func (fab *Fabric) fairLockFactory(gcw spinlock.GCWorld) core.LockFactory {
-	return syncx.FairFactory(gcw, func(iters int64) {
+// lockFactory builds the locks on the fabric's cross-world hot paths —
+// the forward rings (world = the member's ML world, nil without
+// Options.MLAlloc) and the mux accept inbox (nil) — in the family
+// Options.FairLocks selects.  On an ML member either family polls the
+// GC section at every acquisition: the ring's two sides live in
+// different worlds (front threads push, the member's procs pop), so
+// whichever side waits mid-collection helps the copy or joins the
+// barrier instead of convoying the stop — the MPL lockTake move.  Every
+// contended fair claim's queue wait (in claim-loop yields) is charged
+// to the shard.ring_wait_ticks histogram.  The observer reads fab.m
+// lazily: backends and pollers are built before New populates the
+// instrument struct, and nothing locks until the host starts the
+// Runners.
+func (fab *Fabric) lockFactory(world *gcsync.World) core.LockFactory {
+	return syncx.LockFactory(fab.opts.FairLocks, world, func(iters int64) {
 		if h := fab.m.ringWaitTicks; h != nil && iters > 0 {
 			h.Observe(proc.Self(), iters)
 		}
@@ -206,13 +211,11 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 			RegionWords:  fab.opts.MLRegion,
 			Procs:        slots,
 		})
-		world.SetSequential(fab.opts.MLGCSequential)
 	}
 	srv, err := serve.New(sys, serve.Options{
 		NoListener:         true,
 		ShardID:            slot,
 		MLWorld:            world,
-		MLGCAware:          !fab.opts.MLGCPlainLocks,
 		FairLocks:          fab.opts.FairLocks,
 		MaxInFlight:        fab.opts.MaxInFlight,
 		QueueDepth:         fab.opts.QueueDepth,
@@ -242,27 +245,8 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 	}
 	b := &backend{
 		id: slot, pl: pl, sys: sys, srv: srv,
-		ring: newRing(fab.opts.RingDepth), broker: broker, world: world,
-	}
-	var gcw spinlock.GCWorld
-	if world != nil && !fab.opts.MLGCPlainLocks {
-		gcw = world
-	}
-	switch {
-	case fab.opts.FairLocks:
-		// Fair claim/release on the forward ring: pushers, the intake, and
-		// thieves queue in claim order and the release hands off, so under
-		// skew no side loses the TAS race repeatedly.  The claim loop polls
-		// the same GC section the GC-aware spin wrap does (gcw nil on a
-		// non-ML member or under the plain-locks ablation).
-		b.ring.lock = fab.fairLockFactory(gcw)()
-	case gcw != nil:
-		// The ring's two sides live in different worlds: front threads
-		// push while this member's procs pop.  Wrap the ring lock
-		// GC-aware so whichever side spins mid-collection helps the copy
-		// (an attached proc joins the barrier, a front thread runs work
-		// units) instead of convoying the stop — the MPL lockTake move.
-		b.ring.lock = spinlock.GCAware(core.NewMutexLock, world)()
+		ring:   newRing(fab.opts.RingDepth, fab.lockFactory(world)()),
+		broker: broker, world: world,
 	}
 	b.phase.Store(phaseJoining)
 	fab.state.Lock()
@@ -305,20 +289,23 @@ func (fab *Fabric) backendRunners(b *backend) []func() {
 // client traffic can route there.  False only when the fabric drained
 // mid-join; the supervisor then drains the newcomer with everyone else.
 func (fab *Fabric) probe(b *backend) bool {
-	var cell reply
-	j := job{
+	var grp replyGroup
+	grp.open()
+	cell := reply{grp: &grp}
+	j := []job{{
 		req:       &serve.Request{Method: "GET", Path: "/healthz", Proto: "HTTP/1.1"},
 		remaining: fab.opts.DeadlineTicks,
 		pushed:    fab.clock.Now(),
 		rep:       &cell,
-	}
-	for !b.ring.push(j) {
+	}}
+	for b.ring.pushN(j) == 0 {
 		if fab.Draining() {
 			return false
 		}
 		fab.park(1)
 	}
-	for !cell.done.Load() {
+	grp.seal(1)
+	for !grp.done() {
 		if fab.Draining() {
 			return false
 		}

@@ -96,16 +96,3 @@ func TestFabricMLAllocMux(t *testing.T) {
 		t.Fatal("mux fabric load performed no collections on any member")
 	}
 }
-
-// TestFabricMLAllocSequentialAblation pins the -gc-seq + plain-lock
-// configuration the BENCH_gc baseline runs with.
-func TestFabricMLAllocSequentialAblation(t *testing.T) {
-	opts := mlOpts(Options{Shards: 2, BackendProcs: 2})
-	opts.MLGCSequential = true
-	opts.MLGCPlainLocks = true
-	tf := startFabric(t, opts, nil)
-	runMLAllocLoad(t, tf, 4, 3, 3000)
-	if fabricGCs(tf) == 0 {
-		t.Fatal("sequential fabric performed no collections")
-	}
-}

@@ -27,7 +27,6 @@ package shard
 // channels, or runtime netpoller involvement.
 
 import (
-	"errors"
 	"net"
 	"syscall"
 	"time"
@@ -120,10 +119,9 @@ type poller struct {
 }
 
 // newPoller builds one poller thread's world.  The inbox guard comes
-// from the caller: a plain spin lock by default, the FIFO claim/release
-// lock under Options.FairLocks — the accept inbox is the mux front's
-// one cross-thread lock, so under a connection storm it is where an
-// unfair TAS race would starve one side.
+// from Fabric.lockFactory — the accept inbox is the mux front's one
+// cross-thread lock, so under a connection storm it is where an unfair
+// TAS race would starve one side.
 func newPoller(id int, lockf core.LockFactory) (*poller, error) {
 	np, err := netpoll.New()
 	if err != nil {
@@ -306,11 +304,11 @@ func (fab *Fabric) pollerMain(p *poller) {
 		fab.frontSys.CheckPreempt()
 		// Reply-wait discipline, the poller analogue of spinWait: while
 		// dispatches are pending, busy passes (Wait timeout 0) poll the
-		// groups; after ReplySpin fruitless passes, nap a fraction of a
+		// groups; after replySpin fruitless passes, nap a fraction of a
 		// tick so a saturated shard doesn't cost a spinning proc.
 		if len(p.dispatched) > 0 && !progress {
 			idleRounds++
-			if idleRounds > fab.opts.ReplySpin {
+			if idleRounds > replySpin {
 				time.Sleep(fab.opts.Tick / 4)
 			}
 		} else {
@@ -408,29 +406,12 @@ func (fab *Fabric) muxRead(p *poller, mc *muxConn) bool {
 	}
 	fr := p.getFrame(fab.opts.BatchMax)
 	mc.fr = fr
-	fr.reqs = append(fr.reqs[:0], req)
-	var rerr error
-	for len(fr.reqs) < fab.opts.BatchMax && !fr.reqs[len(fr.reqs)-1].Close {
-		nxt, ok, e := mc.c.ReadBuffered(fab.opts.DeadlineTicks)
-		if e != nil {
-			rerr = e
-			break
-		}
-		if !ok {
-			break
-		}
-		fr.reqs = append(fr.reqs, nxt)
-	}
-	if rerr != nil {
-		// Poisoned pipeline: answer the malformed successor and close
-		// after the batch's write, exactly as a connection thread would.
-		fr.badTail = serve.Response{Status: 400, Body: []byte("malformed request\n")}
-		if errors.Is(rerr, serve.ErrTooLarge) {
-			fr.badTail = serve.Response{Status: 413, Body: []byte("request too large\n")}
-		}
-	}
+	// A poisoned pipeline's badTail is answered, and the connection
+	// closed, after the batch's write — exactly as a connection thread
+	// would.
+	fr.reqs, fr.badTail = fab.gatherBatch(mc.c, req, fr.reqs)
 	last := fr.reqs[len(fr.reqs)-1]
-	mc.keepAlive = rerr == nil && !last.Close && !fab.Draining()
+	mc.keepAlive = fr.badTail.Status == 0 && !last.Close && !fab.Draining()
 	mc.wrCap = last.Deadline + 20
 	fr.grp.open()
 	members := fab.forwardBatch(fr.reqs, mc.chash, fr.pend, fr.jbuf, fr.cells, &fr.grp)
@@ -444,33 +425,12 @@ func (fab *Fabric) muxRead(p *poller, mc *muxConn) bool {
 	return false
 }
 
-// muxReadErr is the connection-thread error taxonomy, resumable form:
-// silent closes happen now; answered errors stage their response and
-// let the write phase (and closing flag) finish the job.
+// muxReadErr is readErrResponse in resumable form: silent closes
+// happen now; answered errors stage their response and let the write
+// phase (and closing flag) finish the job.
 func (fab *Fabric) muxReadErr(p *poller, mc *muxConn, err error) bool {
-	var resp serve.Response
-	switch {
-	case errors.Is(err, serve.ErrDeadline):
-		if mc.served > 0 && !mc.c.Partial() {
-			fab.closeMuxConn(p, mc)
-			return false
-		}
-		resp = serve.Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}
-	case errors.Is(err, serve.ErrAborted):
-		if !mc.c.Partial() {
-			fab.closeMuxConn(p, mc)
-			return false
-		}
-		resp = serve.Response{
-			Status:     503,
-			Body:       []byte("shedding load: draining\n"),
-			RetryAfter: fab.opts.RetryAfter,
-		}
-	case errors.Is(err, serve.ErrTooLarge):
-		resp = serve.Response{Status: 413, Body: []byte("request too large\n")}
-	case errors.Is(err, serve.ErrBadRequest):
-		resp = serve.Response{Status: 400, Body: []byte("malformed request\n")}
-	default: // EOF, resets
+	resp, ok := fab.readErrResponse(mc.c, mc.served, err)
+	if !ok {
 		fab.closeMuxConn(p, mc)
 		return false
 	}
@@ -488,7 +448,7 @@ func (fab *Fabric) muxReadErr(p *poller, mc *muxConn, err error) bool {
 // batches, not connections.
 func (fab *Fabric) finishDispatch(p *poller, mc *muxConn) {
 	fr := mc.fr
-	resps := fab.collectBatch(fr.reqs, fr.pend, nil, fr.resps[:0])
+	resps := fab.collectBatch(fr.reqs, fr.pend, fr.resps[:0])
 	if fr.badTail.Status != 0 {
 		resps = append(resps, fr.badTail)
 		mc.closing = true

@@ -228,7 +228,13 @@ func TestPubSubStreamingOnMuxFront(t *testing.T) {
 	if _, term := subs[0].next(t, 30*time.Second); !term {
 		t.Fatal("no chunked terminator after unsubscribe on the mux front")
 	}
+	// The poller uncounts the stream when it closes the connection, which
+	// is after the terminator's bytes reached the client: wait for it.
 	snap := tf.fab.FrontMetrics().Snapshot()
+	for deadline := time.Now().Add(10 * time.Second); snap.Get("shard.stream_conns") != nsubs-1 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		snap = tf.fab.FrontMetrics().Snapshot()
+	}
 	if got := snap.Get("shard.stream_conns"); got != nsubs-1 {
 		t.Errorf("shard.stream_conns = %d, want %d still held", got, nsubs-1)
 	}

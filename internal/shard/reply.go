@@ -3,14 +3,14 @@ package shard
 // The reply path's completion structures: the single-assignment reply
 // cell a forwarded request is answered through, the per-batch countdown
 // group that lets a connection thread park once per batch instead of
-// once per straggler, and the adaptive spin discipline both waits share.
+// once per straggler, and the spin-then-park discipline of that wait.
 //
 // Like the forward ring (ring.go), everything here crosses the
 // front/backend thread-system boundary, so the primitives are bare
 // atomics rather than semaphores: a backend worker must never park a
 // front thread on the backend's scheduler or vice versa.  The backend
-// stores the response then flips the cell's done flag (release); the
-// front polls (acquire) with yields and clock parks of its own.
+// stores the response then decrements the group's countdown (release);
+// the front polls it (acquire) with yields and clock parks of its own.
 
 import (
 	"sync/atomic"
@@ -19,7 +19,7 @@ import (
 )
 
 // reply is the single-assignment completion cell for one forwarded
-// request.  A cell enrolled in a replyGroup also decrements the group's
+// request.  Every cell is enrolled in a replyGroup and decrements its
 // countdown on delivery, so the batch wait observes "all delivered"
 // from a single word.
 type reply struct {
@@ -28,15 +28,14 @@ type reply struct {
 	grp  *replyGroup
 }
 
-// deliver publishes the response; the done flag's store is the release
-// edge that makes resp visible to the front thread's acquire load, and
-// the group decrement after it is what the batched wait parks on.
+// deliver publishes the response and marks the cell delivered; the
+// group decrement after it is the release edge that makes resp visible
+// to the front thread's acquire load in replyGroup.done, and what the
+// batched wait parks on.
 func (r *reply) deliver(resp serve.Response) {
 	r.resp = resp
 	r.done.Store(true)
-	if r.grp != nil {
-		r.grp.remaining.Add(-1)
-	}
+	r.grp.remaining.Add(-1)
 }
 
 // openBias is the count parked in a replyGroup while its batch is still
@@ -80,11 +79,22 @@ func (g *replyGroup) done() bool { return g.remaining.Load() == 0 }
 // a yield can cost a whole scheduler rotation (the pump's sleep, the
 // acceptor's poll window), so skipping checks to "back off" would turn
 // microseconds of slack into milliseconds of overshoot.
+//
+// With min == max the budget is fixed and the wait is memoryless: every
+// waiter pays exactly the same bounded spin before parking, whatever
+// its history.  That is the reply-wait discipline under
+// Options.FairLocks, the reply-side analogue of the claim queue's
+// bounded-wait guarantee.
 type spinState struct {
 	budget int // current spin allowance, in yields
 	min    int
 	max    int
 }
+
+// replySpin caps a reply wait's spin phase, in yields before parking: a
+// connection thread's spinState budget, and the fruitless passes a mux
+// poller makes over its dispatched batches before napping.
+const replySpin = 64
 
 // newSpinState returns a budget starting (and capped) at max yields.
 func newSpinState(max int) spinState {
@@ -136,27 +146,4 @@ func spinWait(cond func() bool, sp *spinState, yield func(), park func(int64)) (
 		park(1)
 		parks++
 	}
-}
-
-// fairWait is the reply-wait discipline under Options.FairLocks: a
-// fixed allowance of budget yields, then park(1) rounds until cond
-// holds.  Where spinWait adapts — so one connection's history buys it a
-// longer spin phase than its neighbors get — the fair wait is
-// memoryless: every waiter pays exactly the same bounded spin before
-// parking, the reply-side analogue of the claim queue's bounded-wait
-// guarantee.  Returns the yields and parks spent (metrics inputs).
-func fairWait(cond func() bool, budget int, yield func(), park func(int64)) (spins, parks int) {
-	if budget < 1 {
-		budget = 1
-	}
-	for !cond() {
-		if spins < budget {
-			yield()
-			spins++
-			continue
-		}
-		park(1)
-		parks++
-	}
-	return spins, parks
 }

@@ -152,10 +152,9 @@ func TestSpinWaitChecksAfterEveryYield(t *testing.T) {
 }
 
 // TestSpinWaitGrowthClampedAtMax pins the doubling edge: a budget
-// sitting above the cap (the cap can drop between waits when a state is
-// rebuilt with a smaller ReplySpin) must saturate at max on a win, not
-// double past it — and a budget at exactly max must stay there, never
-// growing without bound.
+// sitting above the cap must saturate at max on a win, not double past
+// it — and a budget at exactly max must stay there, never growing
+// without bound.
 func TestSpinWaitGrowthClampedAtMax(t *testing.T) {
 	sp := spinState{budget: 1 << 40, min: 1, max: 64}
 	spinWait(func() bool { return true }, &sp, nil, nil)
@@ -199,31 +198,29 @@ func TestSpinWaitRecoversFromZeroBudget(t *testing.T) {
 	}
 }
 
-// TestFairWaitIsMemoryless: the fair reply wait spends exactly the same
-// bounded spin phase on every invocation — no adaptation, no history —
-// and overruns into parks only past the fixed budget.
-func TestFairWaitIsMemoryless(t *testing.T) {
+// TestSpinWaitFixedBudgetIsMemoryless: with min == max (the reply wait
+// under Options.FairLocks) spinWait spends exactly the same bounded spin
+// phase on every invocation — no adaptation, no history — and overruns
+// into parks only past the fixed budget.
+func TestSpinWaitFixedBudgetIsMemoryless(t *testing.T) {
+	sp := spinState{budget: 8, min: 8, max: 8}
 	for round := 0; round < 3; round++ {
 		parked := 0
-		spins, parks := fairWait(func() bool { return parked >= 2 }, 8,
+		spins, parks := spinWait(func() bool { return parked >= 2 }, &sp,
 			func() {}, func(int64) { parked++ })
 		if spins != 8 || parks != 2 {
 			t.Fatalf("round %d spent (%d spins, %d parks), want (8, 2) every round", round, spins, parks)
 		}
 	}
-	// Imminent conditions resolve inside the spin phase, no park.
+	// Imminent conditions resolve inside the spin phase, no park — and a
+	// win does not grow the budget either.
 	yields := 0
-	spins, parks := fairWait(func() bool { return yields >= 3 }, 8,
+	spins, parks := spinWait(func() bool { return yields >= 3 }, &sp,
 		func() { yields++ }, func(int64) { t.Fatal("parked") })
 	if spins != 3 || parks != 0 {
 		t.Errorf("spent (%d spins, %d parks), want (3, 0)", spins, parks)
 	}
-	// A degenerate budget still spins at least once rather than parking
-	// on every wait forever.
-	yields = 0
-	spins, _ = fairWait(func() bool { return yields >= 1 }, 0,
-		func() { yields++ }, func(int64) { t.Fatal("parked with a clamped budget") })
-	if spins != 1 {
-		t.Errorf("zero budget spun %d, want 1 (clamped)", spins)
+	if sp.budget != 8 {
+		t.Errorf("fixed budget drifted to %d, want 8", sp.budget)
 	}
 }

@@ -5,11 +5,11 @@ package shard
 // The reply cells and batch-completion groups travelling the other way
 // live in reply.go.
 //
-// The ring is guarded by a core mutex lock — the paper's spinlock — not
-// a semaphore, precisely because its two sides live in different thread
-// systems: a spinlock never parks a thread on a foreign scheduler, so
-// pushing from the front world into a backend's ring is safe by
-// construction.
+// The ring is guarded by a core lock — the paper's spinlock, or its
+// fair/GC-aware variants from syncx.LockFactory — not a semaphore,
+// precisely because its two sides live in different thread systems: a
+// spinlock never parks a thread on a foreign scheduler, so pushing from
+// the front world into a backend's ring is safe by construction.
 
 import (
 	"sync/atomic"
@@ -42,8 +42,8 @@ type ring struct {
 	occ    atomic.Int64 // == count, updated inside the critical sections
 }
 
-func newRing(depth int) *ring {
-	return &ring{lock: core.NewMutexLock(), buf: make([]job, depth)}
+func newRing(depth int, lock core.Lock) *ring {
+	return &ring{lock: lock, buf: make([]job, depth)}
 }
 
 // close permanently refuses new pushes — the released member's ring
@@ -53,20 +53,6 @@ func (r *ring) close() {
 	r.lock.Lock()
 	r.closed = true
 	r.lock.Unlock()
-}
-
-// push appends a job; false when full or closed (the caller sheds 503).
-func (r *ring) push(j job) bool {
-	r.lock.Lock()
-	if r.count == len(r.buf) || r.closed {
-		r.lock.Unlock()
-		return false
-	}
-	r.buf[(r.head+r.count)%len(r.buf)] = j
-	r.count++
-	r.occ.Store(int64(r.count))
-	r.lock.Unlock()
-	return true
 }
 
 // pushN appends up to len(js) jobs under one lock acquisition and
@@ -95,22 +81,6 @@ func (r *ring) pushN(js []job) int {
 	return n
 }
 
-// pop removes the oldest job; false when empty.
-func (r *ring) pop() (job, bool) {
-	r.lock.Lock()
-	if r.count == 0 {
-		r.lock.Unlock()
-		return job{}, false
-	}
-	j := r.buf[r.head]
-	r.buf[r.head] = job{} // drop references for the collector
-	r.head = (r.head + 1) % len(r.buf)
-	r.count--
-	r.occ.Store(int64(r.count))
-	r.lock.Unlock()
-	return j, true
-}
-
 // popN removes up to len(dst) oldest jobs under one lock acquisition and
 // returns how many it moved — the batched dequeue the shard's intake
 // thread drains its ring with.
@@ -125,7 +95,7 @@ func (r *ring) popN(dst []job) int {
 	}
 	for i := 0; i < n; i++ {
 		dst[i] = r.buf[r.head]
-		r.buf[r.head] = job{}
+		r.buf[r.head] = job{} // drop references for the collector
 		r.head = (r.head + 1) % len(r.buf)
 	}
 	r.count -= n

@@ -71,7 +71,7 @@ type Options struct {
 	// BatchMax bounds every batched transfer on the request path: pipelined
 	// requests forwarded per multi-push, jobs drained per intake pass, jobs
 	// claimed per steal, and each backend dispatcher's items batch
-	// (default 16; 1 restores the per-unit PR 3 hot path).
+	// (default 16).
 	BatchMax int
 	// StealMin is the minimum ring occupancy a sibling must show before an
 	// idle shard's intake claims a batch from it — the anti-livelock
@@ -107,15 +107,6 @@ type Options struct {
 	// HysteresisRounds is how many consecutive periods must propose the
 	// same donor→recipient shift before it is applied (default 2).
 	HysteresisRounds int
-	// ReplySpin caps the adaptive spin budget — yields a connection
-	// thread pays waiting on a reply batch before parking on the clock.
-	// The live budget halves whenever a wait overruns it into a park and
-	// doubles back toward this cap when the spin phase wins (default 64).
-	ReplySpin int
-	// PerCellReplies restores the pre-coalescing reply path — per-cell
-	// in-order reply waits and one render + socket write per response —
-	// as the benchmark baseline for the batched reply path.
-	PerCellReplies bool
 	// FairLocks swaps the fabric's hot-path spin locks for the FIFO
 	// claim/release protocol (syncx.FairLock): the forward rings'
 	// push/pop/steal lock, the mux accept inbox, and each backend's
@@ -126,9 +117,8 @@ type Options struct {
 	// wait tail.  Claim waits are charged to the shard.ring_wait_ticks
 	// histogram (in claim-loop yields).  On an MLAlloc fabric the fair
 	// claim loop polls the GC section exactly as the GC-aware spin locks
-	// do (unless MLGCPlainLocks), so a saturated claim queue never stalls
-	// a collection.  Off by default — the PR 4/5 spin path remains the
-	// ablation baseline.
+	// do, so a saturated claim queue never stalls a collection.  Off by
+	// default.
 	FairLocks bool
 	// DeadlineTicks is the per-request deadline (front clock ticks from
 	// first byte; forwarded with the request, default 2000).
@@ -201,8 +191,8 @@ type Options struct {
 	// MLAlloc installs the allocating /work/mlalloc kernel on every
 	// member: each backend gets its own gcsync.World (ML heap plus the
 	// clean-point collection barrier), handler threads attach to it as
-	// procs per request, and the member's forward-ring lock is wrapped
-	// GC-aware so a front thread spinning on a push helps a pending
+	// procs per request, and the member's forward-ring and admission
+	// locks poll the GC section so a thread waiting on one helps a pending
 	// collection instead of convoying the stop.  Off by default.
 	MLAlloc bool
 	// MLNursery/MLSemi/MLChunk/MLRegion size each member's ML heap in
@@ -211,13 +201,6 @@ type Options struct {
 	MLSemi    int
 	MLChunk   int
 	MLRegion  int
-	// MLGCSequential selects the paper's one-collector stop-the-world
-	// instead of parallel collection — the BENCH_gc ablation baseline.
-	MLGCSequential bool
-	// MLGCPlainLocks drops the GC-aware wrapping from the ring and
-	// admission locks (the second ablation axis): spinners then convoy
-	// any collection raised while they hold or await a lock.
-	MLGCPlainLocks bool
 }
 
 func (o *Options) fill() {
@@ -269,9 +252,6 @@ func (o *Options) fill() {
 	}
 	if o.HysteresisRounds <= 0 {
 		o.HysteresisRounds = 2
-	}
-	if o.ReplySpin <= 0 {
-		o.ReplySpin = 64
 	}
 	if o.DeadlineTicks <= 0 {
 		o.DeadlineTicks = 2000
@@ -529,10 +509,7 @@ func New(opts Options) (*Fabric, error) {
 		ring:   newChashRing(slots, ringVnodes),
 	})
 	if opts.Mux {
-		inboxLock := core.LockFactory(core.NewMutexLock)
-		if opts.FairLocks {
-			inboxLock = fab.fairLockFactory(nil)
-		}
+		inboxLock := fab.lockFactory(nil)
 		for i := 0; i < opts.Pollers; i++ {
 			p, err := newPoller(i, inboxLock)
 			if err != nil {

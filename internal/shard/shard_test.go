@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -262,26 +263,38 @@ func TestChashRingStableAndCovering(t *testing.T) {
 	}
 }
 
+// testRing is a spin-locked ring; push1 and pop1 are pushN and popN at
+// batch size one, for tests that move jobs one at a time.
+func testRing(depth int) *ring { return newRing(depth, core.NewMutexLock()) }
+
+func push1(r *ring, j job) bool { return r.pushN([]job{j}) == 1 }
+
+func pop1(r *ring) (job, bool) {
+	var dst [1]job
+	n := r.popN(dst[:])
+	return dst[0], n == 1
+}
+
 func TestRingPushPopOrderAndBounds(t *testing.T) {
-	r := newRing(3)
+	r := testRing(3)
 	for i := 0; i < 3; i++ {
-		if !r.push(job{remaining: int64(i)}) {
+		if !push1(r, job{remaining: int64(i)}) {
 			t.Fatalf("push %d refused below capacity", i)
 		}
 	}
-	if r.push(job{}) {
+	if push1(r, job{}) {
 		t.Error("push succeeded on a full ring")
 	}
 	if r.depth() != 3 {
 		t.Errorf("depth = %d, want 3", r.depth())
 	}
 	for i := 0; i < 3; i++ {
-		j, ok := r.pop()
+		j, ok := pop1(r)
 		if !ok || j.remaining != int64(i) {
 			t.Fatalf("pop %d: ok=%v remaining=%d", i, ok, j.remaining)
 		}
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := pop1(r); ok {
 		t.Error("pop succeeded on an empty ring")
 	}
 }
@@ -291,12 +304,12 @@ func TestRingPushPopOrderAndBounds(t *testing.T) {
 // that fits, popN drains in FIFO order across the wrap, and both are
 // no-ops on empty inputs.
 func TestRingBatchPushPopWraparound(t *testing.T) {
-	r := newRing(4)
+	r := testRing(4)
 	// Advance head off zero so the batch ops must wrap.
-	if !r.push(job{remaining: 100}) || !r.push(job{remaining: 101}) {
+	if !push1(r, job{remaining: 100}) || !push1(r, job{remaining: 101}) {
 		t.Fatal("seed pushes refused below capacity")
 	}
-	if j, ok := r.pop(); !ok || j.remaining != 100 {
+	if j, ok := pop1(r); !ok || j.remaining != 100 {
 		t.Fatalf("seed pop: ok=%v remaining=%d, want 100", ok, j.remaining)
 	}
 	// head=1, count=1: four offered, three fit; the admitted jobs are a
@@ -338,7 +351,7 @@ func TestRingBatchPushPopWraparound(t *testing.T) {
 	if n := r.popN(dst[:3]); n != 3 {
 		t.Fatalf("bounded popN = %d, want 3", n)
 	}
-	if j, ok := r.pop(); !ok || j.remaining != 3 {
+	if j, ok := pop1(r); !ok || j.remaining != 3 {
 		t.Errorf("leftover after bounded popN: ok=%v remaining=%d, want 3", ok, j.remaining)
 	}
 }
@@ -348,9 +361,9 @@ func TestRingBatchPushPopWraparound(t *testing.T) {
 // newer jobs for the owner, returns 0 on an empty uncontended ring, and
 // aborts with -1 — without blocking — when the lock is held.
 func TestRingStealClaimsOldestHalf(t *testing.T) {
-	r := newRing(8)
+	r := testRing(8)
 	for i := 0; i < 5; i++ {
-		r.push(job{remaining: int64(i)})
+		push1(r, job{remaining: int64(i)})
 	}
 	dst := make([]job, 8)
 	if n := r.stealN(dst); n != 3 {
@@ -363,7 +376,7 @@ func TestRingStealClaimsOldestHalf(t *testing.T) {
 	}
 	// The owner keeps the newest two, still in order.
 	for _, want := range []int64{3, 4} {
-		if j, ok := r.pop(); !ok || j.remaining != want {
+		if j, ok := pop1(r); !ok || j.remaining != want {
 			t.Fatalf("owner pop after steal: ok=%v remaining=%d, want %d", ok, j.remaining, want)
 		}
 	}
@@ -372,7 +385,7 @@ func TestRingStealClaimsOldestHalf(t *testing.T) {
 	}
 	// dst bounds the claim below the half.
 	for i := 0; i < 6; i++ {
-		r.push(job{remaining: int64(10 + i)})
+		push1(r, job{remaining: int64(10 + i)})
 	}
 	if n := r.stealN(dst[:2]); n != 2 {
 		t.Errorf("bounded stealN = %d, want 2", n)
@@ -398,7 +411,7 @@ func TestRingStealClaimsOldestHalf(t *testing.T) {
 // as progress, and nothing may be lost or duplicated.
 func TestRingStealVsPopRace(t *testing.T) {
 	const total = 4000
-	r := newRing(64)
+	r := testRing(64)
 	seen := make([]atomic.Int32, total)
 	var got, aborts atomic.Int64
 	go func() { // producer: front multi-pushes of up to 8
@@ -816,9 +829,9 @@ func TestFabriczStatusEndpoint(t *testing.T) {
 // still claimable, and both the stolen run and the survivors keep
 // their relative order.
 func TestRingStealSkipsPinned(t *testing.T) {
-	r := newRing(8)
+	r := testRing(8)
 	for i := 0; i < 6; i++ {
-		r.push(job{remaining: int64(i), pinned: i%2 == 0})
+		push1(r, job{remaining: int64(i), pinned: i%2 == 0})
 	}
 	dst := make([]job, 8)
 	n := r.stealN(dst)
@@ -833,7 +846,7 @@ func TestRingStealSkipsPinned(t *testing.T) {
 	}
 	// The owner drains the pinned survivors, oldest first.
 	for _, want := range []int64{0, 2, 4} {
-		j, ok := r.pop()
+		j, ok := pop1(r)
 		if !ok || j.remaining != want || !j.pinned {
 			t.Fatalf("owner pop = {ok %v remaining %d pinned %v}, want {true %d true}",
 				ok, j.remaining, j.pinned, want)
@@ -841,7 +854,7 @@ func TestRingStealSkipsPinned(t *testing.T) {
 	}
 	// A ring of only pinned jobs yields nothing but is not an error.
 	for i := 0; i < 4; i++ {
-		r.push(job{remaining: int64(i), pinned: true})
+		push1(r, job{remaining: int64(i), pinned: true})
 	}
 	if n := r.stealN(dst); n != 0 {
 		t.Errorf("stealN over all-pinned ring = %d, want 0", n)

@@ -27,6 +27,7 @@
 package syncx
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 
@@ -58,6 +59,28 @@ func NewFairLock() *FairLock { return &FairLock{} }
 // spinning flavors.
 func FairFactory(w spinlock.GCWorld, observe func(iters int64)) core.LockFactory {
 	return func() core.Lock { return &FairLock{w: w, observe: observe} }
+}
+
+// LockFactory is the serving fabric's one lock constructor: the policy
+// bit picks the family (fair FIFO claim/release, or the default TAS
+// spin lock) and a non-nil world makes every acquisition a GC safe
+// point in either family — FairLock's inline poll, spinlock.GCAware
+// around the spin lock — so a stop-the-world is never stalled by a lock
+// queue.  A nil *T stored in world counts as no world: callers pass
+// their optional *gcsync.World field straight through.  observe
+// receives fair claim waits only; spin contention already reports
+// through spinlock.OnContention.
+func LockFactory(fair bool, world spinlock.GCWorld, observe func(iters int64)) core.LockFactory {
+	if v := reflect.ValueOf(world); v.Kind() == reflect.Pointer && v.IsNil() {
+		world = nil
+	}
+	switch {
+	case fair:
+		return FairFactory(world, observe)
+	case world != nil:
+		return spinlock.GCAware(core.NewMutexLock, world)
+	}
+	return core.NewMutexLock
 }
 
 // TryLock claims the lock only if it is free *and* no claim is queued:
