@@ -26,10 +26,10 @@
 //
 //	mpserved [-addr host:port] [-procs N] [-inflight N] [-queue N]
 //	         [-deadline ticks] [-tick d] [-quantum d]
-//	         [-ring N] [-trace out.json]
-//	         [-shards N] [-rebalance ticks] [-route-header name] [-steal N]
+//	         [-trace out.json]
+//	         [-shards N] [-rebalance ticks] [-steal N]
 //	         [-fair-locks] [-mux] [-pollers N] [-maxconns N] [-idle ticks]
-//	         [-autoscale] [-min-shards N] [-max-shards N]
+//	         [-pubsub] [-tenant-quota N] [-autoscale] [-max-shards N]
 //	         [-mlalloc] [-ml-nursery W] [-ml-semi W] [-ml-chunk W]
 //	         [-ml-region W]
 //
@@ -67,6 +67,9 @@ import (
 	"repro/internal/trace"
 )
 
+// traceRing is the single server's trace ring size per proc.
+const traceRing = 1 << 14
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "TCP listen address")
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "processor allowance (max procs; fabric: per shard)")
@@ -75,11 +78,9 @@ func main() {
 	deadline := flag.Int64("deadline", 2000, "per-request deadline in clock ticks")
 	tick := flag.Duration("tick", time.Millisecond, "wall duration of one clock tick")
 	quantum := flag.Duration("quantum", 0, "preemption quantum (0 = cooperative only)")
-	ring := flag.Int("ring", 1<<14, "trace ring size per proc (0 = no tracer)")
 	tracePath := flag.String("trace", "", "also write the trace to this file at exit")
 	shards := flag.Int("shards", 1, "backend shard count (>1 runs the sharded fabric)")
 	rebalance := flag.Int64("rebalance", 50, "fabric: rebalancer period in front ticks (0 disables)")
-	routeHeader := flag.String("route-header", "X-Shard-Key", "fabric: sticky consistent-hash routing header")
 	steal := flag.Int("steal", 2, "fabric: min sibling ring occupancy before an idle shard steals (0 disables)")
 	mux := flag.Bool("mux", false, "fabric: event-multiplexed front (poller pool instead of a thread per connection)")
 	pollers := flag.Int("pollers", 2, "fabric: poller thread count in -mux mode")
@@ -87,11 +88,7 @@ func main() {
 	idle := flag.Int64("idle", 0, "fabric: keep-alive idle budget between requests, in front ticks (0 = deadline)")
 	pubsubOn := flag.Bool("pubsub", false, "install the pub/sub broker (/publish, /subscribe, /unsubscribe)")
 	tenantQuota := flag.Int("tenant-quota", 0, "pubsub: per-tenant publish admission rate, publishes/sec (0 = unlimited)")
-	tenantHeader := flag.String("tenant-header", "X-Tenant", "pubsub: tenant-id request header")
-	streamDepth := flag.Int("stream-depth", 0, "pubsub: per-subscriber frame ring depth (0 = default 256)")
-	hb := flag.Int64("hb", 0, "pubsub: streaming heartbeat quiet budget in ticks (0 = default 2500, <0 disables)")
-	autoscale := flag.Bool("autoscale", false, "fabric: load-driven whole-shard scale up/down between -min-shards and -max-shards")
-	minShards := flag.Int("min-shards", 0, "fabric: membership floor (0 = 1)")
+	autoscale := flag.Bool("autoscale", false, "fabric: load-driven whole-shard scale up/down between 1 and -max-shards")
 	maxShards := flag.Int("max-shards", 0, "fabric: membership ceiling (0 = 2x -shards, capped by the boot proc budget)")
 	mlalloc := flag.Bool("mlalloc", false, "install the allocating /work/mlalloc kernel backed by the ML heap (fabric: one world per member)")
 	mlNursery := flag.Int("ml-nursery", 1<<16, "mlalloc: nursery size in words")
@@ -119,7 +116,6 @@ func main() {
 			StealMin:       *steal,
 			FairLocks:      *fairLocks,
 			RebalanceTicks: *rebalance,
-			RouteHeader:    *routeHeader,
 			Tick:           *tick,
 			Quantum:        *quantum,
 			MaxConns:       *maxConns,
@@ -127,11 +123,7 @@ func main() {
 			Pollers:        *pollers,
 			PubSub:         *pubsubOn,
 			TenantQuota:    *tenantQuota,
-			TenantHeader:   *tenantHeader,
-			StreamDepth:    *streamDepth,
-			HeartbeatTicks: *hb,
 			Autoscale:      *autoscale,
-			MinShards:      *minShards,
 			MaxShards:      *maxShards,
 			MLAlloc:        *mlalloc,
 			MLNursery:      *mlNursery,
@@ -148,10 +140,7 @@ func main() {
 	// The tracer is private to the server (see serve.Options.Tracer): the
 	// /trace endpoint's stop-the-world snapshot quiesces serve's own
 	// emitters only.
-	var tr *trace.Tracer
-	if *ring > 0 {
-		tr = trace.New(*procs, *ring)
-	}
+	tr := trace.New(*procs, traceRing)
 
 	// The ML world (if -mlalloc) must cover every concurrently-attached
 	// handler thread, which admission bounds at -inflight.
@@ -175,24 +164,18 @@ func main() {
 		Tracer:        tr,
 		MLWorld:       world,
 		FairLocks:     *fairLocks,
-
-		StreamHeartbeatTicks: *hb,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if tr != nil {
-		tr.Enable()
-	}
+	tr.Enable()
 
 	var wg sync.WaitGroup
 	if *pubsubOn {
 		broker := pubsub.New(sys, srv.Clock(), sys.Metrics(), pubsub.Options{
-			TenantHeader: *tenantHeader,
-			StreamDepth:  *streamDepth,
-			QuotaPerSec:  *tenantQuota,
-			Tick:         *tick,
+			QuotaPerSec: *tenantQuota,
+			Tick:        *tick,
 		})
 		pubsub.Install(srv, broker)
 		wg.Add(1)
@@ -225,7 +208,7 @@ func main() {
 		fmt.Print(world.Heap().Metrics().Snapshot().Format())
 	}
 
-	if *tracePath != "" && tr != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

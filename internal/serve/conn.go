@@ -40,6 +40,37 @@ var (
 	ErrAborted = errors.New("serve: read aborted")
 )
 
+// malformedResponse answers bytes that cannot parse as a request.
+func malformedResponse(err error) Response {
+	if errors.Is(err, ErrTooLarge) {
+		return Response{Status: 413, Body: []byte("request too large\n")}
+	}
+	return Response{Status: 400, Body: []byte("malformed request\n")}
+}
+
+// ReadErrResponse is every front's taxonomy for a failed head read: the
+// response the client is owed, or ok false for a silent close — an idle
+// keep-alive connection that ran out its budget or met the drain with
+// nothing asked, and EOFs and resets, where there is nobody to tell.
+// served is how many responses the connection has been sent so far.
+func ReadErrResponse(c *Conn, served int, err error) (resp Response, ok bool) {
+	switch {
+	case errors.Is(err, ErrDeadline):
+		if served > 0 && !c.Partial() {
+			return resp, false
+		}
+		return Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}, true
+	case errors.Is(err, ErrAborted):
+		if !c.Partial() {
+			return resp, false
+		}
+		return ShedResponse("draining"), true
+	case errors.Is(err, ErrTooLarge), errors.Is(err, ErrBadRequest):
+		return malformedResponse(err), true
+	}
+	return resp, false
+}
+
 // ConnConfig wires a Conn to its owner's scheduling world.  Every field
 // except Clock and Park is optional.
 type ConnConfig struct {
@@ -47,7 +78,7 @@ type ConnConfig struct {
 	Clock *cml.Clock
 	// Park suspends the calling thread for the given number of ticks.
 	Park func(ticks int64)
-	// PollWindow caps each blocking socket call (default 1ms).
+	// PollWindow caps each blocking socket call (default PollWindow).
 	PollWindow time.Duration
 	// Tick is the wall-clock length of one virtual-clock tick (default:
 	// PollWindow).  It anchors the wall backstop the blocking I/O paths
@@ -91,7 +122,7 @@ type Conn struct {
 // through its owner's shared scratch instead — never pays for one.
 func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 	if cfg.PollWindow <= 0 {
-		cfg.PollWindow = time.Millisecond
+		cfg.PollWindow = PollWindow
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = cfg.PollWindow
@@ -240,6 +271,29 @@ func (c *Conn) ReadBuffered(budget int64) (*Request, bool, error) {
 	req.Arrival = arrival
 	req.Deadline = arrival + budget
 	return req, true, nil
+}
+
+// Gather collects a dispatch batch behind head into reqs: the blocking
+// read cost is paid, so everything the client pipelined behind it is
+// already buffered and parses for free, up to max requests, each given
+// budget ticks.  A Close request ends the batch — nothing after it will
+// be answered.  A poisoned pipeline (buffered bytes that can never
+// become a valid request) ends it too, with badTail set (Status != 0):
+// the owner answers the malformed successor after the batch and closes
+// instead of re-parsing the same garbage forever.
+func (c *Conn) Gather(head *Request, reqs []*Request, max int, budget int64) (_ []*Request, badTail Response) {
+	reqs = append(reqs[:0], head)
+	for len(reqs) < max && !reqs[len(reqs)-1].Close {
+		nxt, ok, err := c.ReadBuffered(budget)
+		if err != nil {
+			return reqs, malformedResponse(err)
+		}
+		if !ok {
+			break
+		}
+		reqs = append(reqs, nxt)
+	}
+	return reqs, Response{}
 }
 
 // takeBody moves acc[from:to] into the connection's arena and slides acc

@@ -226,7 +226,7 @@ func (srv *Server) handleTrace(req *Request) Response {
 		if req.Expired() {
 			// Give up rather than stall the world past our own deadline.
 			srv.endTracePause()
-			return Response{Status: 503, Body: []byte("could not quiesce before deadline\n"), RetryAfter: srv.opts.RetryAfter}
+			return Response{Status: 503, Body: []byte("could not quiesce before deadline\n"), RetryAfter: RetryAfterSeconds}
 		}
 		srv.state.Lock()
 		quiet := (srv.acceptorIdle || srv.acceptorDone) &&

@@ -65,6 +65,19 @@ func TestRequestPathUsesOnlyMPPrimitives(t *testing.T) {
 	}
 }
 
+// TestPurityScanCoversLoopFile pins the scan's coverage: it is by
+// directory listing, so the file that owns every socket- and
+// clock-touching loop must be in that listing — a rename cannot
+// silently drop it from the purity rule.
+func TestPurityScanCoversLoopFile(t *testing.T) {
+	for _, f := range serveSources(t) {
+		if f == "loop.go" {
+			return
+		}
+	}
+	t.Error("purity scan does not cover loop.go — file missing or renamed")
+}
+
 func TestForbiddenImports(t *testing.T) {
 	banned := map[string]string{
 		"net/http": "spawns goroutines per connection, bypassing the MP scheduler",

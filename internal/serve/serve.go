@@ -21,9 +21,9 @@
 //	    the connection immediately with 503 + Retry-After instead of
 //	    queueing unboundedly.
 //	  - Connections are persistent (HTTP/1.1 keep-alive, see conn.go): a
-//	    worker owns its connection for the connection's lifetime, serving
-//	    pipelined requests in order, and the in-flight slot bounds
-//	    concurrently-served connections.
+//	    worker owns its connection for the connection's lifetime, running
+//	    the keep-alive loop the fabric's front shares (loop.go), and the
+//	    in-flight slot bounds concurrently-served connections.
 //	  - Per-request deadlines ride on the CML clock (package cml): ticks
 //	    are pumped from wall time by a dedicated thread, blocked reads and
 //	    writes park on clock events instead of spinning, and handlers
@@ -49,7 +49,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -95,17 +94,8 @@ type Options struct {
 	// KeepAliveIdleTicks bounds how long a persistent connection may sit
 	// idle between requests before it is closed (default DeadlineTicks).
 	KeepAliveIdleTicks int64
-	// DisableKeepAlive forces Connection: close on every response, the
-	// pre-fabric one-request-per-connection behavior (benchmark baseline).
-	DisableKeepAlive bool
 	// Tick is the wall duration of one clock tick (default 1ms).
 	Tick time.Duration
-	// PollWindow is how long a single blocking accept/read/write may hold
-	// a proc before the thread parks on the clock (default 1ms).
-	PollWindow time.Duration
-	// RetryAfter is the Retry-After hint, in seconds, on shed responses
-	// (default 1).
-	RetryAfter int
 	// StreamHeartbeatTicks is how long a chunked streaming response may
 	// stay quiet before the worker writes a heartbeat chunk — both a
 	// keep-alive and the dead-subscriber detector (default 2500; a
@@ -156,9 +146,6 @@ type NamedRegistry struct {
 }
 
 func (o *Options) fill() {
-	if o.Addr == "" {
-		o.Addr = "127.0.0.1:0"
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
 	}
@@ -176,12 +163,6 @@ func (o *Options) fill() {
 	}
 	if o.Tick <= 0 {
 		o.Tick = time.Millisecond
-	}
-	if o.PollWindow <= 0 {
-		o.PollWindow = time.Millisecond
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 1
 	}
 	if o.StreamHeartbeatTicks == 0 {
 		o.StreamHeartbeatTicks = 2500
@@ -277,15 +258,9 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 	opts.fill()
 	var tln *net.TCPListener
 	if !opts.NoListener {
-		ln, err := net.Listen("tcp", opts.Addr)
-		if err != nil {
+		var err error
+		if tln, err = Listen(opts.Addr); err != nil {
 			return nil, err
-		}
-		var ok bool
-		tln, ok = ln.(*net.TCPListener)
-		if !ok {
-			ln.Close()
-			return nil, fmt.Errorf("serve: listener %T is not a *net.TCPListener", ln)
 		}
 	}
 	// With an ML world, the admission semaphores' guards and the state
@@ -354,7 +329,6 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 	srv.ccfg = ConnConfig{
 		Clock:        srv.clock,
 		Park:         srv.park,
-		PollWindow:   srv.opts.PollWindow,
 		Tick:         srv.opts.Tick,
 		Pool:         srv.pool,
 		OnReadPark:   func() { srv.m.readParks.Inc(proc.Self()) },
@@ -394,13 +368,6 @@ func (srv *Server) InFlight() int {
 	return srv.active
 }
 
-// QueueLen reports the current accept-queue depth.
-func (srv *Server) QueueLen() int {
-	srv.state.Lock()
-	defer srv.state.Unlock()
-	return srv.acceptQ.Len()
-}
-
 // Draining reports whether Drain has been called.
 func (srv *Server) Draining() bool {
 	srv.state.Lock()
@@ -417,7 +384,16 @@ func (srv *Server) AccessLog() []byte { return srv.logrt.Contents("access") }
 // (inside System.Run).  The system quiesces, and Run returns, after
 // Drain completes.
 func (srv *Server) Serve() {
-	srv.sys.Fork(func() { srv.pump() })
+	// The pump exits last, once drain has completed and every other
+	// serving thread is gone.
+	srv.sys.Fork(func() {
+		Pump(srv.sys, srv.clock, srv.opts.Tick, func() bool {
+			srv.state.Lock()
+			defer srv.state.Unlock()
+			return srv.draining && srv.acceptorDone && srv.dispatcherDone &&
+				srv.active == 0 && srv.holds == 0
+		})
+	})
 	srv.sys.Fork(func() { srv.dispatcher() })
 	if srv.ln != nil {
 		srv.sys.Fork(func() { srv.acceptor() })
@@ -503,87 +479,13 @@ func (srv *Server) emit(ev trace.EventID, arg int64) {
 	srv.tracer.Emit(proc.Self(), ev, arg)
 }
 
-// ------------------------------------------------------------------ pump
-
-// pump advances the CML clock from wall time: one tick per Options.Tick
-// elapsed.  It is the server's only time source — read/write waits and
-// deadline checks all observe the virtual clock, so tests may substitute
-// a hand-driven clock by never starting the pump.  The pump exits last,
-// once drain has completed and every other serving thread is gone.
-func (srv *Server) pump() {
-	start := time.Now()
-	var emitted int64
-	for {
-		target := int64(time.Since(start) / srv.opts.Tick)
-		if d := target - emitted; d > 0 {
-			srv.clock.Advance(srv.sys, d)
-			emitted = target
-		}
-		srv.state.Lock()
-		done := srv.draining && srv.acceptorDone && srv.dispatcherDone &&
-			srv.active == 0 && srv.holds == 0
-		srv.state.Unlock()
-		if done {
-			return
-		}
-		srv.sys.CheckPreempt()
-		// Bound the busy-wait: sleep a fraction of a tick (briefly holding
-		// this proc), then yield so co-resident threads run.
-		time.Sleep(srv.opts.Tick / 4)
-		srv.sys.Yield()
-	}
-}
-
 // -------------------------------------------------------------- acceptor
 
-// acceptor polls the listener cooperatively: a short accept deadline per
-// attempt, then a yield, so the thread honors preemption, revocation,
-// drain, and the trace-snapshot barrier at every iteration.
+// acceptor runs the cooperative poll-accept loop until drain, passing
+// the trace-snapshot barrier at every iteration, then poisons the
+// dispatcher.
 func (srv *Server) acceptor() {
-	self := func() int { return proc.Self() }
-	for {
-		srv.acceptorBarrier()
-		srv.state.Lock()
-		stop := srv.draining
-		srv.state.Unlock()
-		if stop {
-			break
-		}
-		srv.ln.SetDeadline(time.Now().Add(srv.opts.PollWindow))
-		conn, err := srv.ln.Accept()
-		if err != nil {
-			if isTimeout(err) {
-				srv.sys.CheckPreempt()
-				srv.sys.Yield()
-				continue
-			}
-			srv.m.acceptErrs.Inc(self())
-			srv.sys.Yield()
-			continue
-		}
-		now := srv.clock.Now()
-		srv.m.accepted.Inc(self())
-		srv.emit(srv.evAccept, now)
-
-		srv.state.Lock()
-		if srv.draining {
-			srv.state.Unlock()
-			srv.shedConn(conn, now, srv.m.shedDrain, "draining")
-			break
-		}
-		if srv.acceptQ.Len() >= srv.opts.QueueDepth {
-			srv.state.Unlock()
-			srv.shedConn(conn, now, srv.m.shedQueue, "accept queue full")
-			continue
-		}
-		srv.acceptQ.Enq(pending{conn: conn, arrival: now})
-		srv.state.Unlock()
-		srv.m.queued.Inc(self())
-		srv.m.queueDepth.Inc(self())
-		srv.emit(srv.evEnqueue, now)
-		srv.items.Release()
-	}
-	srv.ln.Close()
+	AcceptLoop(srv.sys, srv.ln, srv.m.acceptErrs, srv.acceptorStop, srv.admit)
 	srv.emit(srv.evDrain, 0)
 	srv.state.Lock()
 	srv.acceptorDone = true
@@ -592,44 +494,67 @@ func (srv *Server) acceptor() {
 	srv.items.Release()
 }
 
-// acceptorBarrier parks the acceptor while a /trace snapshot is in
-// progress.  The state-lock handoff here is also the happens-before edge
-// that orders the acceptor's last ring emit before the snapshot's reads.
-func (srv *Server) acceptorBarrier() {
+// admit enqueues an accepted connection for dispatch, shedding it when
+// the server is draining or the accept queue is full.
+func (srv *Server) admit(conn net.Conn) {
+	self := proc.Self()
+	now := srv.clock.Now()
+	srv.m.accepted.Inc(self)
+	srv.emit(srv.evAccept, now)
+
 	srv.state.Lock()
-	if !srv.tracePause {
+	if srv.draining {
 		srv.state.Unlock()
+		srv.shed(pending{conn: conn, arrival: now}, srv.m.shedDrain, "draining")
 		return
 	}
-	srv.acceptorIdle = true
-	srv.state.Unlock()
-	for {
-		srv.park(1)
-		srv.state.Lock()
-		if !srv.tracePause {
-			srv.acceptorIdle = false
-			srv.state.Unlock()
-			return
-		}
+	if srv.acceptQ.Len() >= srv.opts.QueueDepth {
 		srv.state.Unlock()
+		srv.shed(pending{conn: conn, arrival: now}, srv.m.shedQueue, "accept queue full")
+		return
 	}
+	srv.acceptQ.Enq(pending{conn: conn, arrival: now})
+	srv.state.Unlock()
+	srv.m.queued.Inc(self)
+	srv.m.queueDepth.Inc(self)
+	srv.emit(srv.evEnqueue, now)
+	srv.items.Release()
 }
 
-// shedConn refuses a connection with 503 + Retry-After, best-effort: the
-// write is capped to a few ticks so a dead client cannot stall the
-// shedding thread.
-func (srv *Server) shedConn(conn net.Conn, arrival int64, counter *metrics.Counter, why string) {
-	counter.Inc(proc.Self())
-	srv.emit(srv.evShed, arrival)
-	resp := Response{
-		Status:     503,
-		Body:       []byte("shedding load: " + why + "\n"),
-		RetryAfter: srv.opts.RetryAfter,
+// acceptorStop is the accept loop's stop predicate: drain.  It first
+// parks the acceptor while a /trace snapshot is in progress; the
+// state-lock handoff here is also the happens-before edge that orders
+// the acceptor's last ring emit before the snapshot's reads.
+func (srv *Server) acceptorStop() bool {
+	srv.state.Lock()
+	for srv.tracePause {
+		srv.acceptorIdle = true
+		srv.state.Unlock()
+		srv.park(1)
+		srv.state.Lock()
 	}
-	c := NewConn(conn, srv.ccfg)
-	c.WriteResponse(resp, srv.clock.Now()+20, false)
-	conn.Close()
-	srv.logAccess(resp.Status, arrival, "-", "-")
+	srv.acceptorIdle = false
+	stop := srv.draining
+	srv.state.Unlock()
+	return stop
+}
+
+// shed refuses an admitted-or-arriving unit with 503 + Retry-After.
+func (srv *Server) shed(p pending, counter *metrics.Counter, why string) {
+	counter.Inc(proc.Self())
+	srv.emit(srv.evShed, p.arrival)
+	srv.refuse(p, ShedResponse(why))
+}
+
+// refuse answers a unit that will never be dispatched — through its
+// completion cell if injected, else on its connection, then closed.
+func (srv *Server) refuse(p pending, resp Response) {
+	if p.job != nil {
+		p.job.deliver(resp)
+	} else {
+		ShedConn(p.conn, srv.ccfg, resp)
+	}
+	srv.logAccess(resp.Status, p.arrival, "-", "-")
 }
 
 // ---------------------------------------------------------------- submit
@@ -786,7 +711,7 @@ func (srv *Server) dispatcher() {
 		for i := 0; i < n; i++ {
 			p := batch[i]
 			if draining {
-				srv.shedPending(p)
+				srv.shed(p, srv.m.shedDrain, "draining")
 				continue
 			}
 			deadline := p.arrival + srv.opts.DeadlineTicks
@@ -796,15 +721,7 @@ func (srv *Server) dispatcher() {
 			if now >= deadline {
 				// Expired while queued: answer 504 without consuming a slot.
 				srv.m.expired.Inc(self)
-				resp := Response{Status: 504, Body: []byte("deadline exceeded in accept queue\n")}
-				if p.job != nil {
-					p.job.deliver(resp)
-				} else {
-					c := NewConn(p.conn, srv.ccfg)
-					c.WriteResponse(resp, now+20, false)
-					p.conn.Close()
-				}
-				srv.logAccess(504, p.arrival, "-", "-")
+				srv.refuse(p, Response{Status: 504, Body: []byte("deadline exceeded in accept queue\n")})
 				continue
 			}
 			batch[live] = p
@@ -839,156 +756,60 @@ func (srv *Server) dispatcher() {
 	}
 }
 
-// shedPending refuses queued-but-unstarted work during drain.
-func (srv *Server) shedPending(p pending) {
-	resp := Response{
-		Status:     503,
-		Body:       []byte("shedding load: draining\n"),
-		RetryAfter: srv.opts.RetryAfter,
-	}
-	if p.job != nil {
-		srv.m.shedDrain.Inc(proc.Self())
-		srv.emit(srv.evShed, p.arrival)
-		p.job.deliver(resp)
-		srv.logAccess(503, p.arrival, "-", "-")
-		return
-	}
-	srv.shedConn(p.conn, p.arrival, srv.m.shedDrain, "draining")
-}
-
 // ---------------------------------------------------------------- worker
 
-// worker serves one admitted unit, then returns its in-flight slot.  For
-// a direct connection that means the connection's whole keep-alive
-// lifetime: requests are read and answered in order until the client
-// closes, opts out of keep-alive, errs, goes idle past the keep-alive
-// budget, or the server drains.  A pipelined run is answered as a batch:
-// after the blocking read delivers a request, every complete successor
-// already buffered is handled too, and the whole run's responses go out
-// through one WriteResponses.  All blocking inside (reads, writes,
-// handler parks) is cooperative: short poll windows plus CML clock
-// parks.
+// worker serves one admitted unit, then returns its in-flight slot.  An
+// injected request is answered and delivered to the fabric's completion
+// cell.  A direct connection runs the keep-alive loop (ConnLoop.Serve)
+// for its whole lifetime with an inline dispatch: each request of a
+// gathered batch is handled and accounted on this thread, in order.
 func (srv *Server) worker(p pending) {
 	if p.job != nil {
-		srv.jobWorker(p.job)
+		p.job.deliver(srv.answer(p.job.req, 0))
+		srv.finish()
 		return
 	}
-	c := NewConn(p.conn, srv.ccfg)
-	arrival := p.arrival
-	served := 0
-	var resps []Response
-	for {
-		headBudget := srv.opts.DeadlineTicks
-		if served > 0 {
-			headBudget = srv.opts.KeepAliveIdleTicks
-		}
-		req, err := c.ReadRequest(arrival+headBudget, srv.opts.DeadlineTicks)
-		var resp Response
-		silent := false
-		switch {
-		case err == nil:
-			resp = srv.handle(req)
-		case errors.Is(err, ErrDeadline):
-			if served > 0 && !c.Partial() {
-				// Idle keep-alive connection ran out its budget: close
-				// without a response — nothing was asked.
-				silent = true
-				break
-			}
-			srv.m.expired.Inc(proc.Self())
-			resp = Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}
-		case errors.Is(err, ErrAborted):
-			if !c.Partial() {
-				silent = true // draining; no request in progress
-				break
-			}
-			resp = Response{
-				Status:     503,
-				Body:       []byte("shedding load: draining\n"),
-				RetryAfter: srv.opts.RetryAfter,
-			}
-		case errors.Is(err, ErrTooLarge):
-			resp = Response{Status: 413, Body: []byte("request too large\n")}
-		case errors.Is(err, ErrBadRequest):
-			resp = Response{Status: 400, Body: []byte("malformed request\n")}
-		default:
-			// Unreadable connection: clean close between requests, or a
-			// reset / EOF mid-request — nothing to say either way.
-			if c.Partial() || served == 0 {
-				srv.m.readErrs.Inc(proc.Self())
-			}
-			silent = true
-		}
-		if silent {
-			break
-		}
-
-		keepAlive := false
-		capTick := srv.clock.Now() + 20
-		if req != nil {
-			keepAlive = err == nil && !req.Close && !srv.opts.DisableKeepAlive && !srv.Draining()
-			capTick = req.Deadline + 20
-		}
-		// A streaming response takes the connection for the rest of its
-		// life: responses batched ahead of it flush first (keep-alive —
-		// the stream header follows on the same socket), then the chunk
-		// pump runs until the stream closes or the client dies.
-		var sresp Response
-		resps = resps[:0]
-		if resp.Stream != nil {
-			sresp = resp
-		} else {
-			resps = append(resps, resp)
-		}
-		srv.accountResponse(req, resp, arrival, served)
-		served++
-
-		// Drain the residual pipelined run: every complete successor
-		// already buffered joins this write batch.
-		for keepAlive && sresp.Stream == nil {
-			more, ok, rerr := c.ReadBuffered(srv.opts.DeadlineTicks)
-			if rerr != nil {
-				// Poisoned pipeline: the buffered bytes can never become a
-				// valid request, so answer once and close the connection.
-				bresp := Response{Status: 400, Body: []byte("malformed request\n")}
-				if errors.Is(rerr, ErrTooLarge) {
-					bresp = Response{Status: 413, Body: []byte("request too large\n")}
-				}
-				resps = append(resps, bresp)
-				srv.accountResponse(nil, bresp, srv.clock.Now(), served)
+	served := 0        // responses accounted on this connection
+	held := time.Now() // when this worker last offered its proc to others
+	loop := ConnLoop{
+		DeadlineTicks: srv.opts.DeadlineTicks,
+		IdleTicks:     srv.opts.KeepAliveIdleTicks,
+		BatchMax:      srv.opts.DispatchBatch,
+		Draining:      srv.Draining,
+		Dispatch: func(reqs []*Request, resps []Response) []Response {
+			for _, req := range reqs {
+				resp := srv.answer(req, served)
 				served++
-				keepAlive = false
-				break
+				resps = append(resps, resp)
+				if resp.Stream != nil {
+					break // a stream takes the connection: handle nothing behind it
+				}
 			}
-			if !ok {
-				break
+			// A worker whose client keeps the pipeline full never blocks in a
+			// read, so it bounds its own hold on the proc as a blocking call
+			// would: otherwise more such connections than procs starve the
+			// rest — and the pump — past their budgets.
+			if time.Since(held) >= PollWindow {
+				srv.sys.CheckPreempt()
+				srv.sys.Yield()
+				held = time.Now()
 			}
-			mresp := srv.handle(more)
-			keepAlive = !more.Close && !srv.opts.DisableKeepAlive && !srv.Draining()
-			capTick = more.Deadline + 20
-			srv.accountResponse(more, mresp, more.Arrival, served)
+			return resps
+		},
+		Stream: func(c *Conn, resp Response) {
+			c.StreamResponse(resp, srv.opts.StreamHeartbeatTicks, srv.opts.DeadlineTicks)
+		},
+		Answered: func(resp Response, since int64) {
+			if resp.Status == 504 {
+				srv.m.expired.Inc(proc.Self())
+			}
+			srv.accountResponse(nil, resp, since, served)
 			served++
-			if mresp.Stream != nil {
-				sresp = mresp
-				break
-			}
-			resps = append(resps, mresp)
-		}
-
-		streaming := sresp.Stream != nil
-		werr := c.WriteResponses(resps, capTick, keepAlive || streaming)
-		if streaming {
-			if werr != nil {
-				sresp.Stream.Cancel()
-			} else {
-				c.StreamResponse(sresp, srv.opts.StreamHeartbeatTicks, srv.opts.DeadlineTicks)
-			}
-			break
-		}
-		if werr != nil || !keepAlive {
-			break
-		}
-		arrival = srv.clock.Now()
+		},
+	}
+	if loop.Serve(NewConn(p.conn, srv.ccfg), p.arrival) != nil {
+		// Reset or EOF mid-request or before any: nobody to tell.
+		srv.m.readErrs.Inc(proc.Self())
 	}
 	p.conn.Close()
 
@@ -998,10 +819,11 @@ func (srv *Server) worker(p pending) {
 	srv.finish()
 }
 
-// handle runs the handler for one parsed request and applies the
-// deadline backstop: a 200 finishing past the deadline becomes the 504
-// the client was promised.
-func (srv *Server) handle(req *Request) Response {
+// answer runs the handler for one parsed request, applies the deadline
+// backstop — a 200 finishing past the deadline becomes the 504 the
+// client was promised — and accounts the response; served is how many
+// responses its connection was sent before this one.
+func (srv *Server) answer(req *Request, served int) Response {
 	resp := srv.dispatchRequest(req)
 	if resp.Status == 200 && srv.clock.Now() >= req.Deadline {
 		if resp.Stream != nil {
@@ -1014,12 +836,13 @@ func (srv *Server) handle(req *Request) Response {
 		// themselves at a safe point.
 		srv.m.expired.Inc(proc.Self())
 	}
+	srv.accountResponse(req, resp, req.Arrival, served)
 	return resp
 }
 
 // accountResponse emits the per-response metrics, trace event, and
-// access-log line for one request of a write batch.  req may be nil
-// (read-error responses); fallbackArrival stands in for its arrival.
+// access-log line for one response.  req may be nil (the loop's own
+// read-error answers); fallbackArrival stands in for its arrival.
 func (srv *Server) accountResponse(req *Request, resp Response, fallbackArrival int64, served int) {
 	method, path, reqArrival := "-", "-", fallbackArrival
 	if req != nil {
@@ -1033,29 +856,6 @@ func (srv *Server) accountResponse(req *Request, resp Response, fallbackArrival 
 	if served > 0 {
 		srv.m.keepalive.Inc(self)
 	}
-}
-
-// jobWorker handles one injected request end to end and delivers the
-// response to the fabric's completion cell.
-func (srv *Server) jobWorker(j *job) {
-	req := j.req
-	resp := srv.dispatchRequest(req)
-	if resp.Status == 200 && srv.clock.Now() >= req.Deadline {
-		if resp.Stream != nil {
-			resp.Stream.Cancel() // the stream response is dropped unwritten
-		}
-		resp = Response{Status: 504, Body: []byte("deadline exceeded\n")}
-	}
-	self := proc.Self()
-	if resp.Status == 504 {
-		srv.m.expired.Inc(self)
-	}
-	srv.m.responded.Inc(self)
-	srv.m.latencyTicks.Observe(self, srv.clock.Now()-req.Arrival)
-	srv.emit(srv.evRespond, int64(resp.Status))
-	srv.logAccess(resp.Status, req.Arrival, req.Method, req.Path)
-	j.deliver(resp)
-	srv.finish()
 }
 
 // finish retires one in-flight work unit.
@@ -1088,12 +888,4 @@ func (srv *Server) logAccess(status int, arrival int64, method, path string) {
 	rec := fmt.Sprintf("%d %d %d %d %d %s %s",
 		srv.opts.ShardID, now, proc.Self(), status, now-arrival, method, path)
 	srv.logpol.Write(srv.logrt.Open("access"), []byte(rec))
-}
-
-// ----------------------------------------------------------------- misc
-
-// isTimeout reports whether err is a network timeout (deadline expiry).
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

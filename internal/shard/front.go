@@ -9,12 +9,10 @@ package shard
 // routed shard.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proc"
@@ -23,7 +21,16 @@ import (
 )
 
 func (fab *Fabric) frontMain() {
-	fab.frontSys.Fork(func() { fab.pump() })
+	// Every front park (reply waits, supervisor, rebalancer) wakes through
+	// this pump.  It exits last, once the supervisor has drained the
+	// backends and the rebalancer has stopped.
+	fab.frontSys.Fork(func() {
+		serve.Pump(fab.frontSys, fab.clock, fab.opts.Tick, func() bool {
+			fab.state.Lock()
+			defer fab.state.Unlock()
+			return fab.cascadeDone && fab.rebalDone
+		})
+	})
 	if fab.opts.RebalanceTicks > 0 || fab.Elastic() {
 		fab.frontSys.Fork(func() { fab.policy() })
 	} else {
@@ -37,31 +44,6 @@ func (fab *Fabric) frontMain() {
 	}
 	fab.frontSys.Fork(func() { fab.acceptor() })
 	fab.supervise()
-}
-
-// pump advances the front clock from wall time, exactly as the serve
-// pump does; every front park (reply waits, supervisor, rebalancer)
-// wakes through it.  It exits last, once the supervisor has drained the
-// backends and the rebalancer has stopped.
-func (fab *Fabric) pump() {
-	start := time.Now()
-	var emitted int64
-	for {
-		target := int64(time.Since(start) / fab.opts.Tick)
-		if d := target - emitted; d > 0 {
-			fab.clock.Advance(fab.frontSys, d)
-			emitted = target
-		}
-		fab.state.Lock()
-		done := fab.cascadeDone && fab.rebalDone
-		fab.state.Unlock()
-		if done {
-			return
-		}
-		fab.frontSys.CheckPreempt()
-		time.Sleep(fab.opts.Tick / 4)
-		fab.frontSys.Yield()
-	}
 }
 
 // supervise is the drain cascade's ordering point: it waits (parking on
@@ -94,43 +76,27 @@ func (fab *Fabric) supervise() {
 	fab.state.Unlock()
 }
 
-// acceptor admits connections with the cooperative poll-accept loop and
-// forks a connection thread per client, shedding with 503 when the
-// front's connection bound is reached.
+// acceptor admits connections through serve's cooperative poll-accept
+// loop and forks a connection thread per client (or hands the socket to
+// a poller on the multiplexed front), shedding with 503 when the front's
+// connection bound is reached or the fabric is draining.
 func (fab *Fabric) acceptor() {
 	nextPoller := 0
-	for {
-		fab.state.Lock()
-		stop := fab.draining
-		fab.state.Unlock()
-		if stop {
-			break
-		}
-		fab.ln.SetDeadline(time.Now().Add(fab.opts.PollWindow))
-		nc, err := fab.ln.Accept()
-		if err != nil {
-			if isTimeout(err) {
-				fab.frontSys.CheckPreempt()
-				fab.frontSys.Yield()
-				continue
-			}
-			fab.m.acceptErrs.Inc(proc.Self())
-			fab.frontSys.Yield()
-			continue
-		}
+	serve.AcceptLoop(fab.frontSys, fab.ln, fab.m.acceptErrs, fab.Draining, func(nc net.Conn) {
 		self := proc.Self()
 		fab.m.accepted.Inc(self)
 		fab.emit(fab.evAccept, fab.clock.Now())
 
 		fab.state.Lock()
 		if fab.draining || fab.activeConns >= fab.opts.MaxConns {
-			draining := fab.draining
-			fab.state.Unlock()
-			fab.shedConn(nc, draining)
-			if draining {
-				break
+			why := "front connection limit"
+			if fab.draining {
+				why = "draining"
 			}
-			continue
+			fab.state.Unlock()
+			fab.m.shedConns.Inc(self)
+			serve.ShedConn(nc, fab.ccfg, serve.ShedResponse(why))
+			return
 		}
 		fab.activeConns++
 		fab.state.Unlock()
@@ -140,154 +106,54 @@ func (fab *Fabric) acceptor() {
 			// round-robin instead of forking a connection thread.
 			fab.pollers[nextPoller%len(fab.pollers)].enqueueConn(nc)
 			nextPoller++
-			continue
+			return
 		}
 		fab.frontSys.Fork(func() { fab.connThread(nc) })
-	}
-	fab.ln.Close()
+	})
 	fab.state.Lock()
 	fab.acceptorDone = true
 	fab.state.Unlock()
 }
 
-// shedConn refuses a connection at the front with 503 + Retry-After.
-func (fab *Fabric) shedConn(nc net.Conn, draining bool) {
-	fab.m.shedConns.Inc(proc.Self())
-	why := "front connection limit"
-	if draining {
-		why = "draining"
-	}
-	c := serve.NewConn(nc, fab.ccfg)
-	c.WriteResponse(serve.Response{
-		Status:     503,
-		Body:       []byte("shedding load: " + why + "\n"),
-		RetryAfter: fab.opts.RetryAfter,
-	}, fab.clock.Now()+20, false)
-	nc.Close()
-}
-
-// connThread serves one client connection for its keep-alive lifetime:
-// read a head request, drain every fully-buffered pipelined successor
-// behind it, forward the whole batch shard-by-shard as multi-pushes,
-// park once until the batch's reply group completes, then write the
-// whole run of responses with one coalesced (or vectored) socket write.
+// connThread serves one client connection for its keep-alive lifetime
+// through serve's connection loop; its dispatch forwards each gathered
+// batch shard-by-shard as multi-pushes and parks once until the batch's
+// reply group completes.
 func (fab *Fabric) connThread(nc net.Conn) {
-	c := serve.NewConn(nc, fab.ccfg)
 	// The connection's route hash is fixed; the member it resolves to is
 	// looked up per batch against the current membership, so an elastic
 	// fabric re-spreads long-lived connections as shards come and go.
 	chash := fnv1a(nc.RemoteAddr().String())
-	served := 0
-	reqs := make([]*serve.Request, 0, fab.opts.BatchMax)
-	resps := make([]serve.Response, 0, fab.opts.BatchMax)
-	pend := make([]pendingReply, fab.opts.BatchMax)
-	jbuf := make([]job, fab.opts.BatchMax)
-	cells := make([]reply, fab.opts.BatchMax)
-	grp := &replyGroup{}
+	sc := newScratch(fab.opts.BatchMax)
 	sp := newSpinState(replySpin)
 	if fab.opts.FairLocks {
 		sp.min = sp.max // fixed budget: the memoryless fair wait
 	}
-	for {
-		headBudget := fab.opts.DeadlineTicks
-		if served > 0 {
-			headBudget = fab.opts.IdleTicks
-		}
-		req, err := c.ReadRequest(fab.clock.Now()+headBudget, fab.opts.DeadlineTicks)
-		if err != nil {
-			if resp, ok := fab.readErrResponse(c, served, err); ok {
-				c.WriteResponse(resp, fab.clock.Now()+20, false)
+	loop := serve.ConnLoop{
+		DeadlineTicks: fab.opts.DeadlineTicks,
+		IdleTicks:     fab.opts.IdleTicks,
+		BatchMax:      fab.opts.BatchMax,
+		Draining:      fab.Draining,
+		Dispatch: func(reqs []*serve.Request, resps []serve.Response) []serve.Response {
+			if fab.forwardBatch(reqs, chash, sc) > 0 {
+				fab.waitReply(sc.grp.done, &sp)
 			}
-			break
-		}
-		var badTail serve.Response
-		reqs, badTail = fab.gatherBatch(c, req, reqs)
-		// Snapshot the write cap before dispatch: Submit rebases
-		// req.Deadline onto the owning shard's clock (independent of
-		// the front clock, and starting at zero for a shard acquired
-		// at runtime), so after the batch returns the request objects
-		// no longer carry front-domain ticks.
-		last := reqs[len(reqs)-1]
-		capTick := last.Deadline + 20
-		resps = fab.dispatchBatch(reqs, chash, pend, jbuf, cells, grp, &sp, resps[:0])
-		if si := streamIndex(resps); si >= 0 {
-			fab.streamConn(c, resps, si, capTick)
-			break
-		}
-		poisoned := badTail.Status != 0
-		if poisoned {
-			resps = append(resps, badTail)
-		}
-		keepAlive := !poisoned && !last.Close && !fab.Draining()
-		werr := c.WriteResponses(resps, capTick, keepAlive)
-		served += len(resps)
-		if werr != nil || !keepAlive {
-			break
-		}
+			return fab.collectBatch(reqs, sc.pend, resps)
+		},
+		Stream:   fab.streamConn,
+		Answered: func(serve.Response, int64) {}, // the front keeps no per-response books
 	}
+	loop.Serve(serve.NewConn(nc, fab.ccfg), fab.clock.Now())
+	fab.releaseConn(nc)
+}
+
+// releaseConn closes an admitted connection and frees its front seat.
+func (fab *Fabric) releaseConn(nc net.Conn) {
 	nc.Close()
 	fab.m.conns.Add(proc.Self(), -1)
 	fab.state.Lock()
 	fab.activeConns--
 	fab.state.Unlock()
-}
-
-// gatherBatch collects a dispatch batch behind head into reqs: the
-// blocking read cost is paid, so everything the client pipelined behind
-// it is already buffered and parses for free, up to BatchMax.  A Close
-// request ends the batch — nothing after it will be answered.  A
-// poisoned pipeline (buffered bytes that can never become a valid
-// request) ends it too, with badTail set (Status != 0): the front
-// answers the malformed successor after the batch and closes instead of
-// re-parsing the same garbage forever.
-func (fab *Fabric) gatherBatch(c *serve.Conn, head *serve.Request,
-	reqs []*serve.Request) (_ []*serve.Request, badTail serve.Response) {
-	reqs = append(reqs[:0], head)
-	for len(reqs) < fab.opts.BatchMax && !reqs[len(reqs)-1].Close {
-		nxt, ok, err := c.ReadBuffered(fab.opts.DeadlineTicks)
-		if err != nil {
-			return reqs, malformedResponse(err)
-		}
-		if !ok {
-			break
-		}
-		reqs = append(reqs, nxt)
-	}
-	return reqs, serve.Response{}
-}
-
-// malformedResponse answers bytes that cannot parse as a request.
-func malformedResponse(err error) serve.Response {
-	if errors.Is(err, serve.ErrTooLarge) {
-		return serve.Response{Status: 413, Body: []byte("request too large\n")}
-	}
-	return serve.Response{Status: 400, Body: []byte("malformed request\n")}
-}
-
-// readErrResponse is the fronts' taxonomy for a failed head read: the
-// response the client is owed, or ok false for a silent close — an idle
-// keep-alive connection that ran out its budget or met the drain with
-// nothing asked, and EOFs and resets, where there is nobody to tell.
-func (fab *Fabric) readErrResponse(c *serve.Conn, served int, err error) (resp serve.Response, ok bool) {
-	switch {
-	case errors.Is(err, serve.ErrDeadline):
-		if served > 0 && !c.Partial() {
-			return resp, false
-		}
-		return serve.Response{Status: 504, Body: []byte("deadline exceeded reading request\n")}, true
-	case errors.Is(err, serve.ErrAborted):
-		if !c.Partial() {
-			return resp, false
-		}
-		return serve.Response{
-			Status:     503,
-			Body:       []byte("shedding load: draining\n"),
-			RetryAfter: fab.opts.RetryAfter,
-		}, true
-	case errors.Is(err, serve.ErrTooLarge), errors.Is(err, serve.ErrBadRequest):
-		return malformedResponse(err), true
-	}
-	return resp, false
 }
 
 // topicKey returns the routing key for a pub/sub request — its topic —
@@ -304,34 +170,11 @@ func (fab *Fabric) topicKey(req *serve.Request) string {
 	return ""
 }
 
-// streamIndex finds the first streaming response in a batch, -1 if none.
-func streamIndex(resps []serve.Response) int {
-	for i := range resps {
-		if resps[i].Stream != nil {
-			return i
-		}
-	}
-	return -1
-}
-
-// streamConn hands a connection thread to a streaming response: flush
-// the responses batched ahead of it (keep-alive — the stream header
-// follows on the same socket), then pump frames until the stream closes
-// or the client dies.  Responses pipelined behind the stream are
-// dropped — a stream takes the connection to its end — with their own
-// streams, if any, canceled rather than leaked.
-func (fab *Fabric) streamConn(c *serve.Conn, resps []serve.Response, si int, capTick int64) {
+// streamConn hands a connection thread to a streaming response: pump
+// frames until the stream closes or the client dies, holding the
+// stream_conns gauge for the duration.
+func (fab *Fabric) streamConn(c *serve.Conn, sresp serve.Response) {
 	self := proc.Self()
-	sresp := resps[si]
-	for _, r := range resps[si+1:] {
-		if r.Stream != nil {
-			r.Stream.Cancel()
-		}
-	}
-	if err := c.WriteResponses(resps[:si], capTick, true); err != nil {
-		sresp.Stream.Cancel()
-		return
-	}
 	fab.m.streamConns.Inc(self)
 	sresp.Stream = &countedStream{s: sresp.Stream, n: fab.m.streamFrames}
 	c.StreamResponse(sresp, fab.opts.HeartbeatTicks, fab.opts.DeadlineTicks)
@@ -368,39 +211,37 @@ type pendingReply struct {
 	resp serve.Response
 }
 
-// dispatchBatch routes a batch of pipelined requests, forwards each run
-// of consecutive same-shard requests as one multi-push (one spinlock
-// acquisition per run instead of per request), awaits the batch's reply
-// group — one spin-then-park wait for the whole batch, since the last
-// delivery publishes it — and appends the responses to resps in request
-// order.  /fabricz is answered at the front itself — the fabric's own
-// status endpoint.  pend, jbuf, and cells are caller-owned scratch
-// (≥ len(reqs) each); cells and grp are reusable because the wait only
-// returns once every pushed cell's delivery has fully completed.
-func (fab *Fabric) dispatchBatch(reqs []*serve.Request, chash uint32,
-	pend []pendingReply, jbuf []job, cells []reply, grp *replyGroup,
-	sp *spinState, resps []serve.Response) []serve.Response {
-	grp.open()
-	// Cells shed on a full ring never reach a backend: seal retires them
-	// from the membership before the wait.
-	members := fab.forwardBatch(reqs, chash, pend, jbuf, cells, grp)
-	grp.seal(members)
-	if members > 0 {
-		fab.waitReply(grp.done, sp)
+// scratch is one in-flight dispatch batch's forwarding state, indexed by
+// request slot (full length, not just capacity).  Its owner reuses it
+// only once grp.done(): every pushed cell's delivery has completed.
+type scratch struct {
+	pend  []pendingReply
+	jbuf  []job
+	cells []reply
+	grp   replyGroup
+}
+
+func newScratch(batchMax int) *scratch {
+	return &scratch{
+		pend:  make([]pendingReply, batchMax),
+		jbuf:  make([]job, batchMax),
+		cells: make([]reply, batchMax),
 	}
-	return fab.collectBatch(reqs, pend, resps)
 }
 
 // forwardBatch is the non-waiting front half of a dispatch: route every
-// request (answering /fabricz inline and enrolling the rest in cells
-// bound to g), then forward each run of consecutive same-target requests
-// as one multi-push, shedding with 503 where a ring is full.  It returns
-// the number of cells actually pushed — the group membership the caller
-// seals.  The multiplexed front calls this directly and polls the group
-// instead of blocking.
-func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32,
-	pend []pendingReply, jbuf []job, cells []reply, g *replyGroup) int {
+// request (answering /fabricz and /scale inline — the fabric's own
+// endpoints — and enrolling the rest in cells bound to sc.grp), then
+// forward each run of consecutive same-target requests as one multi-push
+// (one spinlock acquisition per run instead of per request), shedding
+// with 503 where a ring is full.  It returns the number of cells
+// actually pushed, the membership sc.grp is sealed at: a connection
+// thread then waits on the group — one spin-then-park wait for the whole
+// batch, since the last delivery publishes it — and a poller polls it.
+func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32, sc *scratch) int {
 	self := proc.Self()
+	pend, jbuf, cells, g := sc.pend, sc.jbuf, sc.cells, &sc.grp
+	g.open()
 	// One membership snapshot per batch: every request in the batch
 	// routes against the same epoch, and the snapshot is immutable, so a
 	// flip landing mid-loop cannot tear the routing.
@@ -467,17 +308,16 @@ func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32,
 		}
 		for k := pushed; k < n; k++ {
 			fab.m.ringFull.Inc(self)
-			pend[i+k] = pendingReply{resp: serve.Response{
-				Status:     503,
-				Body:       []byte("shedding load: shard ring full\n"),
-				RetryAfter: fab.opts.RetryAfter,
-			}}
+			pend[i+k] = pendingReply{resp: serve.ShedResponse("shard ring full")}
 		}
 		i = j
 	}
 	for n := range jbuf {
 		jbuf[n] = job{} // drop request references
 	}
+	// Cells shed on a full ring never reached a backend: seal retires them
+	// from the membership before anyone waits.
+	g.seal(members)
 	return members
 }
 
@@ -618,10 +458,4 @@ func (fab *Fabric) statusResponse() serve.Response {
 	body += fmt.Sprintf("goroutines %d threads %d heap_alloc %d\n",
 		runtime.NumGoroutine(), pprof.Lookup("threadcreate").Count(), ms.HeapAlloc)
 	return serve.Response{Status: 200, Body: []byte(body)}
-}
-
-// isTimeout reports whether err is a network timeout.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

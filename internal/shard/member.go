@@ -223,8 +223,6 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 		DispatchBatch:      fab.opts.BatchMax,
 		KeepAliveIdleTicks: fab.opts.IdleTicks,
 		Tick:               fab.opts.Tick,
-		PollWindow:         fab.opts.PollWindow,
-		RetryAfter:         fab.opts.RetryAfter,
 		Log:                fab.logrt,
 		LogPolicy:          fab.logpol,
 		ExtraMetrics:       []serve.NamedRegistry{{Name: "front", Reg: fab.frontSys.Metrics()}},

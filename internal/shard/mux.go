@@ -51,12 +51,9 @@ type muxInbox struct {
 // are staged, so the frame population tracks in-flight batches, not
 // connections.
 type frame struct {
+	*scratch
 	reqs    []*serve.Request
-	pend    []pendingReply
-	jbuf    []job
-	cells   []reply
 	resps   []serve.Response
-	grp     replyGroup
 	badTail serve.Response // 400/413 for a poisoned pipelined successor
 	next    *frame         // free list
 }
@@ -166,10 +163,7 @@ func rawFD(nc net.Conn) (int, bool) {
 func (fab *Fabric) pollerMain(p *poller) {
 	p.evs = make([]netpoll.Event, 256)
 	p.scratch = make([]byte, 32<<10)
-	pollMS := int(fab.opts.PollWindow / time.Millisecond)
-	if pollMS < 1 {
-		pollMS = 1
-	}
+	const pollMS = int(serve.PollWindow / time.Millisecond)
 	idleRounds := 0
 	for {
 		self := proc.Self()
@@ -327,12 +321,8 @@ func (fab *Fabric) adoptConn(p *poller, nc net.Conn) {
 		ok = p.np.Add(fd, false) == nil
 	}
 	if !ok {
-		nc.Close()
-		fab.m.conns.Add(proc.Self(), -1)
+		fab.releaseConn(nc)
 		fab.m.acceptErrs.Inc(proc.Self())
-		fab.state.Lock()
-		fab.activeConns--
-		fab.state.Unlock()
 		return
 	}
 	mc := p.freeConns
@@ -409,13 +399,11 @@ func (fab *Fabric) muxRead(p *poller, mc *muxConn) bool {
 	// A poisoned pipeline's badTail is answered, and the connection
 	// closed, after the batch's write — exactly as a connection thread
 	// would.
-	fr.reqs, fr.badTail = fab.gatherBatch(mc.c, req, fr.reqs)
+	fr.reqs, fr.badTail = mc.c.Gather(req, fr.reqs, fab.opts.BatchMax, fab.opts.DeadlineTicks)
 	last := fr.reqs[len(fr.reqs)-1]
 	mc.keepAlive = fr.badTail.Status == 0 && !last.Close && !fab.Draining()
 	mc.wrCap = last.Deadline + 20
-	fr.grp.open()
-	members := fab.forwardBatch(fr.reqs, mc.chash, fr.pend, fr.jbuf, fr.cells, &fr.grp)
-	fr.grp.seal(members)
+	fab.forwardBatch(fr.reqs, mc.chash, fr.scratch)
 	mc.c.SetState(serve.StateDispatched)
 	if fr.grp.done() { // all answered inline (/fabricz, ring-full sheds)
 		fab.finishDispatch(p, mc)
@@ -425,11 +413,11 @@ func (fab *Fabric) muxRead(p *poller, mc *muxConn) bool {
 	return false
 }
 
-// muxReadErr is readErrResponse in resumable form: silent closes
+// muxReadErr is serve.ReadErrResponse in resumable form: silent closes
 // happen now; answered errors stage their response and let the write
 // phase (and closing flag) finish the job.
 func (fab *Fabric) muxReadErr(p *poller, mc *muxConn, err error) bool {
-	resp, ok := fab.readErrResponse(mc.c, mc.served, err)
+	resp, ok := serve.ReadErrResponse(mc.c, mc.served, err)
 	if !ok {
 		fab.closeMuxConn(p, mc)
 		return false
@@ -453,15 +441,15 @@ func (fab *Fabric) finishDispatch(p *poller, mc *muxConn) {
 		resps = append(resps, fr.badTail)
 		mc.closing = true
 	}
-	if si := streamIndex(resps); si >= 0 && !mc.closing {
-		fab.startMuxStream(p, mc, resps, si)
-	} else {
-		for i := range resps {
-			if resps[i].Stream != nil { // poisoned batch: never stream, never leak
-				resps[i].Stream.Cancel()
-			}
-		}
+	si := serve.FirstStream(resps)
+	switch {
+	case si < 0:
 		mc.c.StageResponses(resps, mc.keepAlive)
+	case mc.closing: // poisoned batch: never stream, never leak
+		resps[si].Stream.Cancel()
+		mc.c.StageResponses(resps, mc.keepAlive)
+	default:
+		fab.startMuxStream(p, mc, resps, si)
 	}
 	mc.served += len(resps)
 	fr.resps = resps // keep the (possibly grown) backing array with the frame
@@ -482,15 +470,10 @@ var muxHB = [][]byte{[]byte("\n")}
 // response into a parked subscriber: responses ahead of the stream plus
 // the chunked header are staged in one write, the connection joins the
 // poller's stream list, and keep-alive ends — a stream takes the
-// connection to its close.  Streams pipelined behind the first are
-// canceled, exactly as the blocking fronts do.
+// connection to its close.  (serve.FirstStream already cancelled the
+// streams pipelined behind it.)
 func (fab *Fabric) startMuxStream(p *poller, mc *muxConn, resps []serve.Response, si int) {
 	sresp := resps[si]
-	for _, r := range resps[si+1:] {
-		if r.Stream != nil {
-			r.Stream.Cancel()
-		}
-	}
 	mc.c.StageStream(resps[:si], sresp)
 	mc.stream = sresp.Stream
 	mc.streaming = true
@@ -657,15 +640,11 @@ func (fab *Fabric) sweepConns(p *poller, now int64) {
 // before the muxConn can be reused.
 func (fab *Fabric) closeMuxConn(p *poller, mc *muxConn) {
 	p.np.Remove(mc.fd)
-	mc.nc.Close()
+	fab.releaseConn(mc.nc)
 	if mc.fd >= 0 && mc.fd < len(p.conns) {
 		p.conns[mc.fd] = nil
 	}
 	p.owned--
-	fab.m.conns.Add(proc.Self(), -1)
-	fab.state.Lock()
-	fab.activeConns--
-	fab.state.Unlock()
 	if mc.fr != nil { // staged-error paths never hold one; belt and braces
 		p.putFrame(mc.fr)
 		mc.fr = nil
@@ -686,8 +665,7 @@ func (fab *Fabric) closeMuxConn(p *poller, mc *muxConn) {
 }
 
 // getFrame takes a pooled dispatch frame or builds one sized to the
-// batch bound (forwardBatch indexes pend/jbuf/cells by request slot, so
-// they carry full length, not just capacity).
+// batch bound.
 func (p *poller) getFrame(batchMax int) *frame {
 	if fr := p.freeFrames; fr != nil {
 		p.freeFrames = fr.next
@@ -695,11 +673,9 @@ func (p *poller) getFrame(batchMax int) *frame {
 		return fr
 	}
 	return &frame{
-		reqs:  make([]*serve.Request, 0, batchMax),
-		pend:  make([]pendingReply, batchMax),
-		jbuf:  make([]job, batchMax),
-		cells: make([]reply, batchMax),
-		resps: make([]serve.Response, 0, batchMax+1),
+		scratch: newScratch(batchMax),
+		reqs:    make([]*serve.Request, 0, batchMax),
+		resps:   make([]serve.Response, 0, batchMax+1),
 	}
 }
 

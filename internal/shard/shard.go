@@ -139,10 +139,6 @@ type Options struct {
 	// points, so requests overlap inside the ML section and stop
 	// barriers gather promptly.
 	Quantum time.Duration
-	// PollWindow caps blocking socket calls (default 1ms).
-	PollWindow time.Duration
-	// RetryAfter is the Retry-After hint on front sheds (default 1).
-	RetryAfter int
 	// PubSub installs a pubsub.Broker on every shard: /publish,
 	// /subscribe, /unsubscribe endpoints, topic-keyed routing through the
 	// consistent-hash ring (a topic lives on one shard), and streaming
@@ -204,9 +200,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Addr == "" {
-		o.Addr = "127.0.0.1:0"
-	}
 	if o.Shards <= 0 {
 		o.Shards = 2
 	}
@@ -261,12 +254,6 @@ func (o *Options) fill() {
 	}
 	if o.Tick <= 0 {
 		o.Tick = time.Millisecond
-	}
-	if o.PollWindow <= 0 {
-		o.PollWindow = time.Millisecond
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 1
 	}
 	if o.TenantHeader == "" {
 		o.TenantHeader = "X-Tenant"
@@ -465,14 +452,9 @@ type handlerEntry struct {
 // Runners.
 func New(opts Options) (*Fabric, error) {
 	opts.fill()
-	ln, err := net.Listen("tcp", opts.Addr)
+	tln, err := serve.Listen(opts.Addr)
 	if err != nil {
 		return nil, err
-	}
-	tln, ok := ln.(*net.TCPListener)
-	if !ok {
-		ln.Close()
-		return nil, fmt.Errorf("shard: listener %T is not a *net.TCPListener", ln)
 	}
 	frontPl := proc.New(opts.FrontProcs)
 	fab := &Fabric{
@@ -586,7 +568,6 @@ func New(opts Options) (*Fabric, error) {
 	fab.ccfg = serve.ConnConfig{
 		Clock:        fab.clock,
 		Park:         fab.park,
-		PollWindow:   opts.PollWindow,
 		Tick:         opts.Tick,
 		Pool:         fab.pool,
 		OnWriteBatch: func(n int) { fab.m.writeBatch.Observe(proc.Self(), int64(n)) },
@@ -781,11 +762,7 @@ func (fab *Fabric) intake(b *backend) {
 		}
 		admitted := b.srv.SubmitMany(subs[:m])
 		for i := admitted; i < m; i++ {
-			subs[i].Deliver(serve.Response{
-				Status:     503,
-				Body:       []byte("shedding load: shard saturated\n"),
-				RetryAfter: fab.opts.RetryAfter,
-			})
+			subs[i].Deliver(serve.ShedResponse("shard saturated"))
 		}
 		for i := 0; i < m; i++ {
 			subs[i] = serve.SubmitJob{}
