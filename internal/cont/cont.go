@@ -63,21 +63,8 @@ func Callcc[T any](body func(k *Cont[T]) T) T {
 		panic("cont: Callcc invoked outside the MP platform")
 	}
 	k := &Cont[T]{resume: make(chan msg[T], 1)}
-	go func() {
-		gls.Set(baton)
-		defer func() {
-			gls.Del()
-			if r := recover(); r != nil {
-				if _, ok := r.(exitSignal); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		v := body(k)
-		// Falling off the body is SML's implicit throw to k.
-		deliver(k, v)
-	}()
+	// Falling off the body is SML's implicit throw to k.
+	Go(baton, func() { deliver(k, body(k)) })
 	m := <-k.resume
 	gls.Set(m.baton)
 	return m.v
@@ -106,8 +93,7 @@ func Exit() {
 }
 
 // IsExit reports whether a recovered panic value is the package's private
-// unwind sentinel.  Goroutine roots created outside this package (the
-// platform's root-proc wrapper) use it to absorb Throw/Exit unwinds.
+// unwind sentinel, for goroutine roots created outside this package.
 func IsExit(r any) bool {
 	_, ok := r.(exitSignal)
 	return ok
@@ -118,9 +104,37 @@ func IsExit(r any) bool {
 // (paper §3.1: "an existing proc can start a new proc executing in
 // parallel by invoking acquire_proc with the continuation to be executed").
 func Start[T any](k *Cont[T], v T, b any) {
+	Go(b, func() { deliver(k, v) })
+}
+
+// Go runs f on a fresh goroutine whose baton is b, absorbing the
+// Throw/Exit unwind f ends in (f may also simply return).  It is Start
+// for a continuation that is plain code rather than a captured stack:
+// the proc layer starts the root proc this way, and a thread package
+// starts a proc on its dispatch loop.
+func Go(b any, f func()) {
 	go func() {
 		gls.Set(b)
-		deliver(k, v)
-		gls.Del()
+		defer func() {
+			gls.Del()
+			if r := recover(); r != nil && !IsExit(r) {
+				panic(r)
+			}
+		}()
+		f()
 	}()
+}
+
+// Suspend parks the calling goroutine as the continuation k — without
+// Callcc's second goroutine, because the caller holds no baton for a
+// body to run under: register(k) runs right here, and the goroutine
+// then waits to be thrown to, adopting the thrower's baton as Callcc
+// does.  The thread layer uses it for a thread that returns from an OS
+// call to a full proc allowance and must queue like any ready thread.
+func Suspend[T any](register func(k *Cont[T])) T {
+	k := &Cont[T]{resume: make(chan msg[T], 1)}
+	register(k)
+	m := <-k.resume
+	gls.Set(m.baton)
+	return m.v
 }

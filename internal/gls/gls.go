@@ -26,7 +26,7 @@
 // future goroutine, every goroutine that Sets a baton MUST Del it before
 // exiting.  A leaked entry is not just a table leak — under g-pointer
 // keying a later goroutine could adopt the stale baton.  All platform
-// goroutine roots (cont.Callcc, cont.Start, proc.Run) Del on every exit
+// goroutine roots (all started by cont.Go) Del on every exit
 // path, and cont's tests watch Len for leaks.
 package gls
 

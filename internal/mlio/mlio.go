@@ -31,8 +31,9 @@ import (
 // Stream is one buffered output stream inside the runtime; its methods
 // are NOT synchronized, mirroring the 1993 runtime's C buffers.
 type Stream struct {
-	name string
-	buf  bytes.Buffer
+	name  string
+	buf   bytes.Buffer
+	limit int // retain only the most recent records past this size; 0 keeps all
 }
 
 // Name returns the stream's name.
@@ -45,12 +46,20 @@ func (st *Stream) writeRecord(rec []byte) {
 		st.buf.WriteByte(b)
 	}
 	st.buf.WriteByte('\n')
+	if st.limit > 0 && st.buf.Len() > st.limit {
+		// Drop the older half, up to and including a record boundary.
+		old := st.buf.Next(st.buf.Len() - st.limit/2)
+		if old[len(old)-1] != '\n' {
+			st.buf.ReadBytes('\n')
+		}
+	}
 }
 
 // Runtime is the runtime-system I/O state shared by all procs.
 type Runtime struct {
 	streams map[string]*Stream
 	meta    spinlock.Lock // guards the stream table only (runtime internal)
+	limit   int           // every stream's retention bound; 0 keeps all
 }
 
 // NewRuntime returns an empty runtime I/O state.
@@ -59,6 +68,18 @@ func NewRuntime() *Runtime {
 		streams: make(map[string]*Stream),
 		meta:    core.NewMutexLock(),
 	}
+}
+
+// NewBounded returns a runtime whose streams each retain only their most
+// recent records: once a stream passes limit bytes its older half is
+// dropped at a record boundary.  A server's log is such a stream — a
+// process that answers requests for as long as it runs must not hold
+// every line it ever wrote — while the paper's programs, which read back
+// everything they wrote, use NewRuntime.
+func NewBounded(limit int) *Runtime {
+	r := NewRuntime()
+	r.limit = limit
+	return r
 }
 
 // Open returns the named stream, creating it if needed.  The stream
@@ -70,7 +91,7 @@ func (r *Runtime) Open(name string) *Stream {
 	defer r.meta.Unlock()
 	st, ok := r.streams[name]
 	if !ok {
-		st = &Stream{name: name}
+		st = &Stream{name: name, limit: r.limit}
 		r.streams[name] = st
 	}
 	return st

@@ -3,6 +3,7 @@ package mlio
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/proc"
@@ -177,5 +178,42 @@ func TestUnlockedSingleWriterIsFine(t *testing.T) {
 	data := hammer(t, Unlocked{}, 1, 100)
 	if err := checkAtomic(data, 1, 100); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoundedStreamRetainsRecentWholeRecords: a bounded runtime's stream
+// never holds much more than its limit, always begins at a record
+// boundary, and ends with the most recent record — a server's log does
+// not grow with the number of requests answered.
+func TestBoundedStreamRetainsRecentWholeRecords(t *testing.T) {
+	const limit = 1 << 10
+	r := NewBounded(limit)
+	st := r.Open("log")
+	var pol Unlocked
+	last := ""
+	for i := 0; i < 5000; i++ {
+		last = fmt.Sprintf("record-%05d with some padding", i)
+		pol.Write(st, []byte(last))
+		if n := st.buf.Len(); n > limit+len(last)+1 {
+			t.Fatalf("after %d records the stream holds %d bytes, limit %d", i+1, n, limit)
+		}
+	}
+	got := string(r.Contents("log"))
+	if !strings.HasPrefix(got, "record-") {
+		t.Errorf("retained log starts mid-record: %q", got[:20])
+	}
+	if !strings.HasSuffix(got, last+"\n") {
+		t.Errorf("retained log does not end with the newest record")
+	}
+	if len(got) < limit/2-len(last) {
+		t.Errorf("retained only %d bytes of a %d-byte allowance", len(got), limit)
+	}
+	// The unbounded runtime keeps everything.
+	u := NewRuntime()
+	for i := 0; i < 100; i++ {
+		pol.Write(u.Open("log"), []byte("x"))
+	}
+	if n := len(u.Contents("log")); n != 200 {
+		t.Errorf("unbounded stream holds %d bytes, want 200", n)
 	}
 }

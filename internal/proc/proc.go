@@ -22,6 +22,15 @@
 // Initially a single root proc executes the client's root function; the
 // platform's Run returns when every proc has been released (quiescence),
 // which is how client programs join.
+//
+// Two things the paper's procs got from the operating system for free
+// are explicit here, because a Go proc is a token and not a kernel
+// thread.  A proc whose holder enters a blocking OS call is a released
+// proc — Block hands the token back, Unblock takes one again — yet the
+// platform does not quiesce under a holder that is coming back.  And
+// whether a slot is idle is one atomic word (limit minus tokens held),
+// so the two hot questions a scheduler asks — "would Acquire succeed?"
+// and "am I over the allowance?" — never take the platform mutex.
 package proc
 
 import (
@@ -46,7 +55,7 @@ var ErrNoMoreProcs = errors.New("mp: no more procs")
 type Proc struct {
 	id       int
 	datum    any
-	released atomic.Bool
+	released bool // token is in the pool; guarded by the platform mutex
 	pl       *Platform
 }
 
@@ -88,6 +97,7 @@ type platformMetrics struct {
 	reused   *metrics.Counter
 	refused  *metrics.Counter
 	released *metrics.Counter
+	blocking *metrics.Counter
 }
 
 // Platform is the MP processor manager.
@@ -96,9 +106,15 @@ type Platform struct {
 	mu      sync.Mutex
 	free    []*Proc
 	created int
-	limit   int // current physical-processor allowance (≤ max)
-	live    sync.WaitGroup
-	running atomic.Bool
+	limit   int           // current physical-processor allowance (≤ max)
+	blocked int           // holders between Block and Unblock: no token, but Run waits for them
+	quiet   chan struct{} // closed when the last token returns with nobody blocked; nil outside Run
+	inRun   atomic.Bool
+
+	// idle mirrors limit − held() while Run is live (0 otherwise), written
+	// under mu: positive means Acquire can succeed, negative means the
+	// allowance has been revoked below the tokens out.
+	idle atomic.Int32
 
 	reg *metrics.Registry
 	m   platformMetrics
@@ -123,6 +139,7 @@ func New(maxProcs int) *Platform {
 		reused:   pl.reg.Counter("proc.reused"),
 		refused:  pl.reg.Counter("proc.refused"),
 		released: pl.reg.Counter("proc.released"),
+		blocking: pl.reg.Counter("proc.blocking_calls"),
 	}
 	return pl
 }
@@ -136,8 +153,8 @@ func (pl *Platform) MaxProcs() int { return pl.max }
 // warning during a computation, as a result of activity by other users
 // and by the operating system itself."  Shrinking the limit does not
 // preempt anyone — procs discover the revocation at their next safe
-// point via Revoked and release themselves, the cooperative model the
-// paper's clients use for everything.
+// point (ReleaseIfRevoked) and release themselves, the cooperative model
+// the paper's clients use for everything.
 func (pl *Platform) SetLimit(n int) {
 	if n < 1 {
 		n = 1
@@ -147,6 +164,7 @@ func (pl *Platform) SetLimit(n int) {
 	}
 	pl.mu.Lock()
 	pl.limit = n
+	pl.syncIdle()
 	pl.mu.Unlock()
 }
 
@@ -161,18 +179,32 @@ func (pl *Platform) Limit() int {
 func (pl *Platform) Live() int {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.created - len(pl.free)
+	return pl.held()
+}
+
+// held is the number of tokens out of the pool; call with mu held.
+func (pl *Platform) held() int { return pl.created - len(pl.free) }
+
+// syncIdle republishes the idle word after held() or limit changed;
+// call with mu held.
+func (pl *Platform) syncIdle() {
+	n := 0
+	if pl.quiet != nil {
+		n = pl.limit - pl.held()
+	}
+	pl.idle.Store(int32(n))
 }
 
 // Revoked reports whether more procs are live than the current limit
-// allows, i.e. whether the calling proc should save its state and
-// Release at its next safe point.  Any proc may answer the revocation;
-// the signal clears as soon as enough have.
-func (pl *Platform) Revoked() bool {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.created-len(pl.free) > pl.limit
-}
+// allows, i.e. whether the calling proc should save its state and reach
+// a safe point.  Any proc may answer the revocation; the signal clears
+// as soon as enough have.  One atomic load: safe points poll it freely.
+func (pl *Platform) Revoked() bool { return pl.idle.Load() < 0 }
+
+// Idle reports whether a slot of the allowance is unused, i.e. whether
+// an Acquire made now could succeed — the one atomic load a scheduler
+// pays to learn that an enqueue needs no proc started for it.
+func (pl *Platform) Idle() bool { return pl.idle.Load() > 0 }
 
 // Stats returns a merged snapshot of the platform counters.  The read
 // is lock-free — per-shard atomic loads, never the platform mutex — so
@@ -212,79 +244,119 @@ func (pl *Platform) SetTracer(t *trace.Tracer) {
 // Acquire starts a new proc executing the continuation in ps, with ps.Datum
 // as its per-proc datum (paper: acquire_proc).  It returns ErrNoMoreProcs
 // when the proc limit is reached, which clients typically handle by
-// enqueueing the continuation on a ready queue instead (Fig. 3).
+// enqueueing the continuation on a ready queue instead (Fig. 3).  The
+// refusal — the common outcome once procs saturate — is answered from
+// the idle word without the platform mutex.  Any goroutine may call it:
+// a proc of this platform, a proc of another, or none at all; once the
+// platform has quiesced every call is refused.
 func (pl *Platform) Acquire(ps PS) error {
 	if ps.K == nil {
 		panic("proc: Acquire with nil continuation")
 	}
-	pl.mu.Lock()
-	if pl.created-len(pl.free) >= pl.limit {
-		// Within capacity but beyond the OS's current allowance.
-		pl.mu.Unlock()
-		pl.refuse()
-		return ErrNoMoreProcs
+	p, err := pl.acquire(ps.Datum)
+	if err == nil {
+		cont.Start(ps.K, cont.Unit{}, p)
 	}
-	var p *Proc
-	reused := false
-	switch {
-	case len(pl.free) > 0:
-		p = pl.free[len(pl.free)-1]
-		pl.free = pl.free[:len(pl.free)-1]
-		reused = true
-	case pl.created < pl.max:
+	return err
+}
+
+// AcquireFunc is Acquire for a continuation that is plain code rather
+// than a captured stack: the new proc executes f, which ends as every
+// proc's code does — in a throw or a Release.  A thread package starts
+// a proc on its dispatch loop this way when work is queued and a slot
+// is idle but no thread is at hand to be continued.
+func (pl *Platform) AcquireFunc(f func(), datum any) error {
+	p, err := pl.acquire(datum)
+	if err == nil {
+		cont.Go(p, f)
+	}
+	return err
+}
+
+// acquire takes a token for a new holder and accounts it.
+func (pl *Platform) acquire(datum any) (*Proc, error) {
+	if pl.idle.Load() <= 0 {
+		pl.refuse()
+		return nil, ErrNoMoreProcs
+	}
+	pl.mu.Lock()
+	p, reused := pl.claim()
+	pl.mu.Unlock()
+	if p == nil {
+		pl.refuse() // lost the slot between the load and the lock
+		return nil, ErrNoMoreProcs
+	}
+	pl.adopt(p, reused, datum)
+	return p, nil
+}
+
+// claim takes a token out of the pool if the allowance has room; call
+// with mu held.  held() < limit ≤ max means that when the free list is
+// empty created < max, so a fresh id is always in range.
+func (pl *Platform) claim() (p *Proc, reused bool) {
+	if pl.quiet == nil || pl.held() >= pl.limit {
+		return nil, false
+	}
+	if n := len(pl.free); n > 0 {
+		p, reused = pl.free[n-1], true
+		pl.free = pl.free[:n-1]
+	} else {
 		p = &Proc{id: pl.created, pl: pl}
 		pl.created++
-	default:
-		pl.mu.Unlock()
-		pl.refuse()
-		return ErrNoMoreProcs
 	}
-	// Safe: Acquire is only callable from code running on a live proc, so
-	// the live counter is nonzero here.
-	pl.live.Add(1)
-	pl.mu.Unlock()
+	p.released = false
+	pl.syncIdle()
+	return p, reused
+}
 
+// adopt accounts a freshly claimed token to its new holder.  Emitting
+// on ring p.id from the claimer's goroutine is race-free: the previous
+// holder's release emit happens-before the free-list append (see
+// leave), the claim orders it before this write under pl.mu, and the
+// goroutine hand-off that follows (cont.Start, cont.Go, or the claimer
+// itself becoming the holder) orders this write before anything the
+// proc emits.  One writer at a time.
+func (pl *Platform) adopt(p *Proc, reused bool, datum any) {
 	if reused {
 		pl.m.reused.Inc(p.id)
 	} else {
 		pl.m.created.Inc(p.id)
 	}
 	pl.m.acquired.Inc(p.id)
-	// Emitting on ring p.id from the acquirer's goroutine is race-free:
-	// the previous holder's release emit happens-before the free-list
-	// append (see release), the pop above orders it before this write
-	// under pl.mu, and cont.Start's goroutine creation orders this write
-	// before anything the started proc emits.  One writer at a time.
 	pl.tracer.Emit(p.id, pl.evAcquire, int64(p.id))
-	p.released.Store(false)
-	p.datum = ps.Datum
-	cont.Start(ps.K, cont.Unit{}, p)
-	return nil
+	p.datum = datum
 }
 
 // refuse accounts a failed Acquire on the calling proc's shard and ring.
 // Refusal is the common Fork path once procs saturate, so hard-coding
 // shard 0 here would bounce one cache line across every forking proc —
-// exactly the contention the sharded registry exists to avoid.  Off-proc
-// callers (setup code, tests) fall back to shard 0 for the counter and
-// skip the trace emit, preserving the rings' single-writer invariant.
+// exactly the contention the sharded registry exists to avoid.  A caller
+// that is not one of this platform's procs still spreads over the
+// counter's shards (the index is masked) but never touches the trace
+// rings, which are single-writer per proc of *this* platform.
 func (pl *Platform) refuse() {
-	self, onProc := callerID()
-	pl.m.refused.Inc(self)
-	if onProc {
-		pl.tracer.Emit(self, pl.evRefuse, 0)
+	p, _ := current()
+	if p == nil {
+		pl.m.refused.Inc(0)
+		return
+	}
+	pl.m.refused.Inc(p.id)
+	if p.pl == pl {
+		pl.tracer.Emit(p.id, pl.evRefuse, 0)
 	}
 }
 
-// callerID returns the id of the proc held by the calling goroutine, or
-// (0, false) when the goroutine holds none.
-func callerID() (int, bool) {
-	if v, ok := gls.Get(); ok {
-		if p, ok := v.(*Proc); ok {
-			return p.id, true
-		}
+// current returns the proc held by the calling goroutine, or nil when it
+// holds none; foreign reports a baton that is not a proc at all.
+func current() (p *Proc, foreign any) {
+	v, ok := gls.Get()
+	if !ok {
+		return nil, nil
 	}
-	return 0, false
+	if p, ok = v.(*Proc); ok {
+		return p, nil
+	}
+	return nil, v
 }
 
 // Release stops the calling proc and returns it to the pool (paper:
@@ -292,39 +364,142 @@ func callerID() (int, bool) {
 // goroutine is unwound.  Clients wishing to save their execution state
 // first capture a continuation with Callcc.
 func (pl *Platform) Release() {
-	p := Current()
-	pl.release(p)
+	pl.release(Current())
 	cont.Exit()
 }
 
-// release is idempotent so that the root wrapper's deferred release cannot
+// release is idempotent so that the root wrapper's release cannot
 // double-free a proc the root function already released.
 func (pl *Platform) release(p *Proc) {
-	if !p.released.CompareAndSwap(false, true) {
-		return
+	pl.mu.Lock()
+	if !p.released {
+		pl.leave(p)
 	}
+	pl.mu.Unlock()
+}
+
+// leave returns p's token to the pool and, when it was the last one out
+// with no holder blocked, ends Run; call with mu held.  The release
+// event is emitted before the token re-enters the free list: once the
+// append publishes it a concurrent claim may hand the token — and ring
+// p.id, which is single-writer — to its next holder.
+func (pl *Platform) leave(p *Proc) {
+	p.released = true
 	p.datum = nil
 	pl.m.released.Inc(p.id)
-	// Emit before the token re-enters the free list: once the append below
-	// publishes it, a concurrent Acquire may pop the token and write ring
-	// p.id, and the rings are single-writer.  The mutex hand-off is the
-	// happens-before edge between this emit and the acquirer's.
 	pl.tracer.Emit(p.id, pl.evRelease, int64(p.id))
-	pl.mu.Lock()
 	pl.free = append(pl.free, p)
+	pl.syncIdle()
+	pl.settle()
+}
+
+// settle ends Run once nothing holds a token and nothing is blocked;
+// call with mu held.  From then on the platform refuses every Acquire.
+func (pl *Platform) settle() {
+	if pl.quiet != nil && pl.held() == 0 && pl.blocked == 0 {
+		close(pl.quiet)
+		pl.quiet = nil
+		pl.syncIdle()
+	}
+}
+
+// ReleaseIfRevoked is the revocation safe point (§3.1) as one decision:
+// under the platform mutex, release p — never returning — exactly when
+// more tokens are out than the allowance permits.  Two procs reaching
+// safe points together therefore cannot both answer a revocation of
+// one, and since the allowance is at least one the last running proc
+// never leaves this way.  p must be the caller's proc.
+func (pl *Platform) ReleaseIfRevoked(p *Proc) {
+	if pl.idle.Load() >= 0 {
+		return
+	}
+	pl.mu.Lock()
+	over := pl.held() > pl.limit
+	if over {
+		pl.leave(p)
+	}
 	pl.mu.Unlock()
-	pl.live.Done()
+	if over {
+		cont.Exit()
+	}
+}
+
+// ReleaseUnless is release_proc for a scheduler whose ready queue came
+// up empty: release p — never returning — unless pending reports that
+// work has been queued after all, in which case it returns and the
+// caller dispatches again.  pending runs under the platform mutex with
+// the slot already published as idle, which closes the race with an
+// enqueue from outside (Idle, then Acquire): either pending sees that
+// enqueue, or the enqueuer sees the idle slot and blocks on the mutex
+// until this release is complete.  Hence Run returns exactly when all
+// procs have quiesced (§3.1) — the last one never leaves queued work
+// behind.  pending must only take leaf locks.  p must be the caller's.
+func (pl *Platform) ReleaseUnless(p *Proc, pending func() bool) {
+	pl.mu.Lock()
+	pl.idle.Add(1)
+	if pending() {
+		pl.idle.Add(-1)
+		pl.mu.Unlock()
+		return
+	}
+	pl.leave(p)
+	pl.mu.Unlock()
+	cont.Exit()
+}
+
+// Block is release_proc for a holder that is coming back: the calling
+// proc's token returns to the pool for the length of a blocking OS call
+// (a proc blocked in the kernel is not a processor anyone can use), but
+// Run keeps waiting for the caller.  Until Unblock the goroutine holds
+// no proc and must make no MP call.
+func (pl *Platform) Block() {
+	p := Current()
+	pl.m.blocking.Inc(p.id)
+	pl.mu.Lock()
+	pl.blocked++
+	pl.leave(p)
+	pl.mu.Unlock()
+	gls.Del()
+}
+
+// Unblock ends a Block.  If the allowance has room the caller becomes a
+// proc again, with datum as its datum, and Unblock reports true.  If
+// every slot was taken meanwhile it reports false and the caller is
+// still counted as blocked: it queues itself with its scheduler as any
+// ready thread would, and then calls Requeued.
+func (pl *Platform) Unblock(datum any) bool {
+	pl.mu.Lock()
+	p, reused := pl.claim()
+	if p != nil {
+		pl.blocked--
+	}
+	pl.mu.Unlock()
+	if p == nil {
+		pl.m.refused.Inc(0)
+		return false
+	}
+	pl.adopt(p, reused, datum)
+	gls.Set(p)
+	return true
+}
+
+// Requeued retires the blocked count of a caller Unblock turned away,
+// once it is safely on its scheduler's ready queue.
+func (pl *Platform) Requeued() {
+	pl.mu.Lock()
+	pl.blocked--
+	pl.settle()
+	pl.mu.Unlock()
 }
 
 // Current returns the proc held by the calling goroutine.
 func Current() *Proc {
-	v, ok := gls.Get()
-	if !ok {
-		panic("mp: operation outside Platform.Run")
+	p, foreign := current()
+	if foreign != nil {
+		panic(fmt.Sprintf("mp: foreign baton %T on this goroutine", foreign))
 	}
-	p, ok := v.(*Proc)
-	if !ok {
-		panic(fmt.Sprintf("mp: foreign baton %T on this goroutine", v))
+	if p == nil {
+		panic("mp: operation outside Platform.Run")
 	}
 	return p
 }
@@ -343,52 +518,51 @@ func Self() int { return Current().id }
 // goroutine holds no proc — code running outside Platform.Run, such as a
 // host bootstrap goroutine.  Callers use it to pick a sharded-structure
 // slot without requiring the MP world.
-func TrySelf() (int, bool) { return callerID() }
+func TrySelf() (int, bool) {
+	if p, _ := current(); p != nil {
+		return p.id, true
+	}
+	return 0, false
+}
+
+// Holds reports whether the calling goroutine holds one of this
+// platform's procs — false for another platform's proc, a goroutine
+// inside Block, or one outside the MP world altogether.
+func (pl *Platform) Holds() bool {
+	p, _ := current()
+	return p != nil && p.pl == pl
+}
 
 // Run bootstraps the root proc executing root with the given initial
 // datum (paper: initial_datum) and blocks until the platform quiesces —
 // i.e. until every proc, including the root, has been released.  If root
 // returns normally, the proc it is then holding is released implicitly.
 func (pl *Platform) Run(root func(), initialDatum any) {
-	if !pl.running.CompareAndSwap(false, true) {
+	if !pl.inRun.CompareAndSwap(false, true) {
 		panic("proc: Platform.Run is not reentrant")
 	}
-	defer pl.running.Store(false)
+	defer pl.inRun.Store(false)
 
-	pl.mu.Lock()
-	if pl.created != 0 || len(pl.free) != 0 {
-		// Allow repeated Run calls on a quiesced platform by recycling.
-		pl.free = pl.free[:0]
-		pl.created = 0
-	}
+	// A quiesced platform may Run again: the pool is rebuilt from scratch.
+	quiet := make(chan struct{})
 	p := &Proc{id: 0, pl: pl}
+	pl.mu.Lock()
+	pl.free = pl.free[:0]
 	pl.created = 1
-	pl.live.Add(1)
+	pl.blocked = 0
+	pl.quiet = quiet
+	pl.syncIdle()
 	pl.mu.Unlock()
 	pl.m.created.Inc(0)
 	pl.m.acquired.Inc(0)
 	pl.tracer.Emit(0, pl.evAcquire, 0)
 	p.datum = initialDatum
 
-	go func() {
-		gls.Set(p)
-		defer func() {
-			r := recover()
-			// Release the proc currently held at return time: the root
-			// goroutine may have migrated to a different token by the
-			// time the root function returns.
-			if r == nil {
-				if v, ok := gls.Get(); ok {
-					pl.release(v.(*Proc))
-				}
-			}
-			gls.Del()
-			if r != nil && !cont.IsExit(r) {
-				panic(r)
-			}
-		}()
+	cont.Go(p, func() {
 		root()
-	}()
-
-	pl.live.Wait()
+		// Release the proc held at return time: the root goroutine may
+		// have migrated to a different token since it started.
+		pl.release(Current())
+	})
+	<-quiet
 }

@@ -4,8 +4,10 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cont"
+	"repro/internal/trace"
 )
 
 func TestRunRootReturns(t *testing.T) {
@@ -324,4 +326,206 @@ func releaseOnSignal(pl *Platform, done chan struct{}) *cont.Cont[cont.Unit] {
 		pl.Release()
 	}, nil)
 	return <-ch
+}
+
+// startRoot runs pl with a root that parks (its proc kept) until the
+// returned stop is called, so a test can poke the live platform from
+// goroutines that are no procs of it.
+func startRoot(pl *Platform) (stop func()) {
+	release, done, up := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		pl.Run(func() {
+			close(up)
+			<-release
+		}, nil)
+		close(done)
+	}()
+	<-up
+	return func() {
+		close(release)
+		<-done
+	}
+}
+
+// TestAcquireFromOutsideThePlatform: Acquire is callable by a goroutine
+// that holds no proc — the waker of a thread system it is not part of —
+// while the platform runs, and is refused, not a crash, once it has
+// quiesced.
+func TestAcquireFromOutsideThePlatform(t *testing.T) {
+	pl := New(2)
+	stop := startRoot(pl)
+	ran := make(chan int, 1)
+	if err := pl.AcquireFunc(func() {
+		ran <- Self()
+		pl.Release()
+	}, nil); err != nil {
+		t.Fatalf("AcquireFunc from outside a running platform: %v", err)
+	}
+	if id := <-ran; id != 1 {
+		t.Errorf("outside-acquired proc id = %d, want 1", id)
+	}
+	stop()
+	if err := pl.AcquireFunc(func() { t.Error("proc started on a quiesced platform") }, nil); err != ErrNoMoreProcs {
+		t.Fatalf("Acquire after quiescence = %v, want ErrNoMoreProcs", err)
+	}
+	if st := pl.Stats(); st.Refused != 1 || st.Acquired != 2 {
+		t.Errorf("stats %+v, want 1 refused and 2 acquired (root + one)", st)
+	}
+}
+
+// TestRefusalNeverTakesTheMutex: with the allowance spent, Acquire
+// answers from the idle word — it must return even while the platform
+// mutex is held by someone else.
+func TestRefusalNeverTakesTheMutex(t *testing.T) {
+	pl := New(1)
+	stop := startRoot(pl)
+	defer stop()
+	pl.mu.Lock()
+	refused := make(chan error, 1)
+	go func() { refused <- pl.AcquireFunc(func() {}, nil) }()
+	select {
+	case err := <-refused:
+		if err != ErrNoMoreProcs {
+			t.Errorf("err = %v, want ErrNoMoreProcs", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a refusal waited for the platform mutex")
+	}
+	pl.mu.Unlock()
+}
+
+// TestForeignProcRefusalStaysOffTheTraceRings: a proc of another
+// platform — with an id this platform never issued — is refused here.
+// The refusal must be counted but must not be emitted on this
+// platform's trace rings, which belong to its own procs alone.
+func TestForeignProcRefusalStaysOffTheTraceRings(t *testing.T) {
+	tr := trace.New(1, 64)
+	tr.Enable()
+	home := New(1)
+	home.SetTracer(tr)
+	stop := startRoot(home)
+	defer stop()
+
+	away := New(4)
+	away.Run(func() {
+		for i := 0; i < 3; i++ { // climb to a proc id the home platform has no ring for
+			cont.Callcc(func(k *cont.Cont[cont.Unit]) cont.Unit {
+				if err := away.Acquire(PS{K: k}); err != nil {
+					t.Errorf("away.Acquire: %v", err)
+					cont.Throw(k, cont.Unit{})
+				}
+				away.Release()
+				return cont.Unit{}
+			})
+		}
+		if Self() == 0 {
+			t.Error("still on proc 0: the foreign id is not out of the home platform's range")
+		}
+		if err := home.AcquireFunc(func() {}, nil); err != ErrNoMoreProcs {
+			t.Errorf("home.AcquireFunc = %v, want ErrNoMoreProcs", err)
+		}
+	}, nil)
+	if got := home.Stats().Refused; got != 1 {
+		t.Errorf("home refused = %d, want 1", got)
+	}
+	for _, e := range tr.Events() {
+		if e.Name == "proc.refuse" {
+			t.Errorf("a foreign proc's refusal was emitted on the home platform's ring %d", e.Proc)
+		}
+	}
+}
+
+// TestRevocationIsAnsweredExactlyOnce: four procs reach their safe point
+// together after the allowance shrinks to one.  Exactly three leave —
+// never all four, which the old check-then-release pair allowed.
+func TestRevocationIsAnsweredExactlyOnce(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		pl := New(4)
+		var stayed atomic.Int32
+		start := make(chan struct{})
+		safePoint := func() {
+			<-start
+			pl.ReleaseIfRevoked(Current())
+			stayed.Add(1)
+			pl.Release()
+		}
+		pl.Run(func() {
+			for i := 0; i < 3; i++ {
+				if err := pl.AcquireFunc(safePoint, nil); err != nil {
+					t.Errorf("AcquireFunc: %v", err)
+				}
+			}
+			pl.SetLimit(1)
+			close(start)
+			safePoint()
+		}, nil)
+		if n := stayed.Load(); n != 1 {
+			t.Fatalf("round %d: %d procs stayed under an allowance of 1, want exactly 1", round, n)
+		}
+	}
+}
+
+// TestReleaseUnlessKeepsTheLastProcForQueuedWork: the idle leave is
+// refused while work is pending, taken when it is not, and the slot is
+// published idle only when it is actually given up.
+func TestReleaseUnlessKeepsTheLastProcForQueuedWork(t *testing.T) {
+	pl := New(2)
+	var left atomic.Bool
+	pl.Run(func() {
+		p := Current()
+		pl.ReleaseUnless(p, func() bool { return true })
+		if pl.Live() != 1 || !pl.Idle() {
+			t.Errorf("after a refused leave: live %d idle %v, want 1 true (one of two slots free)", pl.Live(), pl.Idle())
+		}
+		pl.SetLimit(1)
+		pl.ReleaseUnless(p, func() bool { return true })
+		if pl.Idle() {
+			t.Error("a refused leave left the slot published as idle")
+		}
+		left.Store(true)
+		pl.ReleaseUnless(p, func() bool { return false })
+		t.Error("ReleaseUnless returned with nothing pending")
+	}, nil)
+	if !left.Load() || pl.Live() != 0 {
+		t.Fatalf("left %v live %d, want the proc released", left.Load(), pl.Live())
+	}
+}
+
+// TestBlockUnblockRoundTrip: a blocked holder keeps Run waiting with no
+// token out, takes a token again when one is free, and is turned away —
+// still counted — when the allowance was taken meanwhile.
+func TestBlockUnblockRoundTrip(t *testing.T) {
+	pl := New(2)
+	pl.SetLimit(1)
+	pl.Run(func() {
+		pl.Block()
+		if _, ok := TrySelf(); ok {
+			t.Error("a blocked holder still has a proc")
+		}
+		if pl.Live() != 0 {
+			t.Errorf("live = %d inside Block, want 0", pl.Live())
+		}
+		if !pl.Unblock("back") {
+			t.Fatal("Unblock refused with the whole allowance free")
+		}
+		if GetDatum() != "back" {
+			t.Errorf("datum after Unblock = %v", GetDatum())
+		}
+		// Now lose the slot while blocked: another proc takes it.
+		pl.Block()
+		hold := make(chan struct{})
+		if err := pl.AcquireFunc(func() { <-hold; pl.Release() }, nil); err != nil {
+			t.Fatalf("AcquireFunc into the vacated slot: %v", err)
+		}
+		if pl.Unblock(nil) {
+			t.Fatal("Unblock succeeded past the allowance")
+		}
+		close(hold)
+		for !pl.Unblock(nil) { // the turned-away holder is still counted: Run is still waiting
+			runtime.Gosched()
+		}
+	}, nil)
+	if pl.Live() != 0 {
+		t.Fatalf("live = %d after Run", pl.Live())
+	}
 }

@@ -236,8 +236,7 @@ func New(sys *threads.System, clock *cml.Clock, reg *metrics.Registry, opts Opti
 		fanout:       reg.Histogram("pubsub.fanout", bounds),
 		deliveryLag:  reg.Histogram("pubsub.delivery_lag_ticks", bounds),
 	}
-	b.dw = newDeliveryWorld(b, opts.DeliveryProcs, opts.DeliveryThreads,
-		opts.DeliveryBatch, opts.Tick)
+	b.dw = newDeliveryWorld(b, opts.DeliveryProcs, opts.DeliveryThreads, opts.DeliveryBatch)
 	return b
 }
 
@@ -294,7 +293,7 @@ func (b *Broker) finishClose() {
 	for _, s := range subs {
 		s.st.close()
 	}
-	b.dw.stop.Store(true)
+	b.dw.halt()
 	if rel != nil {
 		rel()
 	}

@@ -25,7 +25,6 @@ package pubsub
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -79,24 +78,28 @@ type deliveryWorld struct {
 	active  []*tenant // invariant: t ∈ active ⇔ len(t.q) > 0
 	pending atomic.Int64
 	stop    atomic.Bool
+	// wake is what an idle dispatcher blocks on, holding no proc: enqueue
+	// and halt signal it from the publishers' world.  All dispatchers
+	// share it — one signal wakes one of them, and a woken dispatcher
+	// claims until nothing is left, so coalesced signals strand no job.
+	wake *threads.Wake
 
 	threads int
 	batch   int
-	tick    time.Duration
 }
 
 // idlePrio parks idle dispatchers at the bottom of the priority queue
 // so a freshly-charged tenant's quantum always runs first.
 const idlePrio = 1 << 30
 
-func newDeliveryWorld(b *Broker, procs, threadN, batch int, tick time.Duration) *deliveryWorld {
+func newDeliveryWorld(b *Broker, procs, threadN, batch int) *deliveryWorld {
 	return &deliveryWorld{
 		b:       b,
 		pl:      proc.New(procs),
 		lock:    core.NewMutexLock(),
+		wake:    threads.NewWake(),
 		threads: threadN,
 		batch:   batch,
-		tick:    tick,
 	}
 }
 
@@ -129,6 +132,14 @@ func (d *deliveryWorld) enqueue(t *tenant, j *fanJob) {
 	}
 	t.q = append(t.q, j)
 	d.lock.Unlock()
+	d.wake.Signal()
+}
+
+// halt flags the world stopped and wakes an idle dispatcher to see it;
+// each dispatcher passes the signal on as it exits.
+func (d *deliveryWorld) halt() {
+	d.stop.Store(true)
+	d.wake.Signal()
 }
 
 // minVtimeLocked returns the smallest virtual time among active
@@ -197,17 +208,23 @@ func (d *deliveryWorld) claim() (j *fanJob, start, n, prio int) {
 
 // dispatcher is one delivery thread: claim a quantum from the
 // fairest-behind tenant, push it into subscriber rings (lock NOT held),
-// yield at the tenant's normalized virtual time, repeat.  Exit: stop
-// flagged and nothing pending.
+// yield at the tenant's normalized virtual time, repeat.  With nothing
+// to claim it blocks on the world's wake until an enqueue or halt
+// signals it.  Exit: stop flagged and nothing pending.
 func (d *deliveryWorld) dispatcher() {
 	for {
 		j, start, n, prio := d.claim()
 		if j == nil {
-			if d.stop.Load() && d.pending.Load() == 0 {
+			switch {
+			case !d.stop.Load():
+				d.ps.Await(d.wake, 0)
+			case d.pending.Load() == 0:
+				d.wake.Signal() // pass the halt on to the next idle dispatcher
 				return
+			default:
+				// Stopped, with the last quanta in other dispatchers' hands.
+				d.ps.Yield(idlePrio)
 			}
-			time.Sleep(d.tick / 4)
-			d.ps.Yield(idlePrio)
 			continue
 		}
 		self := proc.Self()

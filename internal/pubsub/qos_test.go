@@ -168,7 +168,7 @@ func TestDeliveryWorldAcksAndEvictsSlow(t *testing.T) {
 		t.Errorf("pending = %d after settle, want 0", p)
 	}
 
-	d.stop.Store(true)
+	d.halt()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

@@ -9,10 +9,11 @@ package serve
 // buffer: bytes that arrived beyond the previous request's body — the
 // head of a pipelined next request — are retained and consumed before
 // the socket is read again, so a client that writes several requests
-// back-to-back has them answered back-to-back, in order.  All socket I/O
-// is cooperative: each blocking call is capped by a short poll window,
-// and on timeout the owning thread parks on its CML clock for a tick
-// instead of holding its proc.
+// back-to-back has them answered back-to-back, in order.  Every socket
+// call runs under the owner's Blocking hook: a thread waiting for bytes
+// or buffer space sits in the kernel holding no proc.  Ticks are
+// deadlines, not latency: a wait's tick budget becomes its socket
+// deadline, and nothing polls the clock in between.
 
 import (
 	"bytes"
@@ -78,23 +79,25 @@ type ConnConfig struct {
 	Clock *cml.Clock
 	// Park suspends the calling thread for the given number of ticks.
 	Park func(ticks int64)
-	// PollWindow caps each blocking socket call (default PollWindow).
-	PollWindow time.Duration
-	// Tick is the wall-clock length of one virtual-clock tick (default:
-	// PollWindow).  It anchors the wall backstop the blocking I/O paths
-	// derive from their tick deadlines, so a stalled clock pump bounds —
-	// rather than extends — every idle and write budget.
+	// Blocking runs one socket call with the calling thread's proc
+	// released (threads.System.Blocking); nil calls it directly.
+	Blocking func(call func())
+	// Tick is the wall-clock length of one virtual-clock tick (default
+	// 1ms).  Socket deadlines are tick deadlines converted through it when
+	// armed, so a stalled clock pump bounds — rather than extends — every
+	// idle and write budget.
 	Tick time.Duration
 	// Pool supplies response render buffers; nil allocates per response.
 	Pool *BufPool
-	// OnReadPark is called each time a blocked read parks (metrics hook).
-	OnReadPark func()
 	// OnWriteBatch is called with the number of responses coalesced into
 	// each WriteResponses socket-write batch (metrics hook).
 	OnWriteBatch func(n int)
 	// Aborted, when non-nil and returning true, aborts an in-progress
-	// ReadRequest with ErrAborted — the drain hook.
+	// ReadRequest with ErrAborted — the drain hook.  The owner raises the
+	// condition, then calls Conns.Interrupt to wake readers in the kernel.
 	Aborted func() bool
+	// Conns, when non-nil, tracks the connections ConnLoop is serving.
+	Conns *ConnSet
 }
 
 // Conn drives one client connection.  The first field group is shared
@@ -104,9 +107,10 @@ type ConnConfig struct {
 type Conn struct {
 	cfg   ConnConfig
 	nc    net.Conn
-	acc   []byte // unconsumed input: partial or pipelined next request
-	buf   []byte // scratch read block (blocking path only; lazily allocated)
-	arena []byte // request-body arena, reset at each batch start
+	acc   []byte  // unconsumed input: partial or pipelined next request
+	buf   []byte  // scratch read block (blocking path only; lazily allocated)
+	op    *sockOp // staged socket call (blocking path only; lazily allocated)
+	arena []byte  // request-body arena, reset at each batch start
 
 	fd         int       // raw descriptor for the resumable path; -1 when unused
 	state      ConnState // explicit phase (resumable path)
@@ -121,13 +125,54 @@ type Conn struct {
 // is allocated on first use, so a multiplexed connection — which reads
 // through its owner's shared scratch instead — never pays for one.
 func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
-	if cfg.PollWindow <= 0 {
-		cfg.PollWindow = PollWindow
-	}
 	if cfg.Tick <= 0 {
-		cfg.Tick = cfg.PollWindow
+		cfg.Tick = time.Millisecond
+	}
+	if cfg.Blocking == nil {
+		cfg.Blocking = callDirectly
 	}
 	return &Conn{cfg: cfg, nc: nc, fd: -1}
+}
+
+func callDirectly(call func()) { call() }
+
+// sockOp is the one socket call a blocking-path Conn has in flight,
+// staged as data — its argument and results live here and run is built
+// once — so handing the call to ConnConfig.Blocking allocates nothing.
+type sockOp struct {
+	c    *Conn
+	bufs *net.Buffers // the write staged; nil stages a read into c.buf
+	flat net.Buffers  // writeAll's one-element iovec, backed by one
+	one  [1][]byte
+	n    int
+	err  error
+	run  func()
+}
+
+func (o *sockOp) call() {
+	if o.bufs == nil {
+		o.n, o.err = o.c.nc.Read(o.c.buf)
+	} else {
+		_, o.err = o.bufs.WriteTo(o.c.nc)
+	}
+}
+
+func (c *Conn) staged() *sockOp {
+	if c.op == nil {
+		c.op = &sockOp{c: c}
+		c.op.run = c.op.call
+	}
+	return c.op
+}
+
+// sock performs one socket call under the owner's Blocking hook — the
+// only place this file touches the socket's data path.
+func (c *Conn) sock(bufs *net.Buffers) (int, error) {
+	o := c.staged()
+	o.bufs = bufs
+	c.cfg.Blocking(o.run)
+	o.bufs = nil
+	return o.n, o.err
 }
 
 // Partial reports whether unconsumed request bytes are buffered — used
@@ -148,16 +193,11 @@ func (c *Conn) ReadRequest(headDeadline, budget int64) (*Request, error) {
 	// one has been handled and its response written, so the arena slices
 	// handed out as bodies are dead and the space can be reused.
 	c.arena = c.arena[:0]
-	started := len(c.acc) > 0
-	var deadline int64
-	if started {
-		deadline = c.cfg.Clock.Now() + budget
-	}
 	arrival := c.cfg.Clock.Now()
-
+	started := len(c.acc) > 0
 	dl := headDeadline
 	if started {
-		dl = deadline
+		dl = arrival + budget
 	}
 	wall := c.wallCap(dl)
 
@@ -166,45 +206,19 @@ func (c *Conn) ReadRequest(headDeadline, budget int64) (*Request, error) {
 		if len(c.acc) > maxHeaderBytes {
 			return nil, ErrTooLarge
 		}
-		if c.cfg.Clock.Now() >= dl || !time.Now().Before(wall) {
-			return nil, ErrDeadline
-		}
-		if c.cfg.Aborted != nil && c.cfg.Aborted() {
-			return nil, ErrAborted
-		}
-		n, err := c.read(wall)
+		n, err := c.recv(dl, wall, true)
 		if n > 0 {
 			if !started {
 				started = true
 				arrival = c.cfg.Clock.Now()
-				deadline = arrival + budget
-				dl = deadline
+				dl = arrival + budget
 				wall = c.wallCap(dl)
 			}
 			headerEnd = bytes.Index(c.acc, crlf2)
-			if headerEnd >= 0 {
-				break
-			}
 		}
-		if err != nil {
-			if isTimeout(err) {
-				if c.cfg.OnReadPark != nil {
-					c.cfg.OnReadPark()
-				}
-				// Pre-park backstop: Park rides the same clock the pump
-				// drives, so an expired wall budget must return before
-				// parking or a stalled pump strands the thread.
-				if !time.Now().Before(wall) {
-					return nil, ErrDeadline
-				}
-				c.cfg.Park(1)
-				continue
-			}
+		if err != nil && headerEnd < 0 {
 			return nil, err
 		}
-	}
-	if !started { // whole head was already buffered
-		deadline = arrival + budget
 	}
 	req, contentLength, err := parseHeader(c.acc[:headerEnd])
 	if err != nil {
@@ -215,27 +229,13 @@ func (c *Conn) ReadRequest(headDeadline, budget int64) (*Request, error) {
 	}
 	total := headerEnd + 4 + contentLength
 	for len(c.acc) < total {
-		if c.cfg.Clock.Now() >= deadline || !time.Now().Before(wall) {
-			return nil, ErrDeadline
-		}
-		n, err := c.read(wall)
-		if n == 0 && err != nil {
-			if isTimeout(err) {
-				if c.cfg.OnReadPark != nil {
-					c.cfg.OnReadPark()
-				}
-				if !time.Now().Before(wall) {
-					return nil, ErrDeadline
-				}
-				c.cfg.Park(1)
-				continue
-			}
+		if n, err := c.recv(dl, wall, false); n == 0 && err != nil {
 			return nil, err
 		}
 	}
 	req.Body = c.takeBody(headerEnd+4, total)
 	req.Arrival = arrival
-	req.Deadline = deadline
+	req.Deadline = dl
 	return req, nil
 }
 
@@ -322,38 +322,35 @@ func (c *Conn) wallCap(dl int64) time.Time {
 	return time.Now().Add(time.Duration(dl-c.cfg.Clock.Now()) * c.cfg.Tick)
 }
 
-// read performs one poll-window-capped socket read into the residual
-// buffer, returning the byte count and any error.  The socket deadline
-// is the poll window clipped to the tick-derived wall backstop, so the
-// read wakes no later than the budget it is serving.
-func (c *Conn) read(wall time.Time) (int, error) {
+// recv performs one socket read into the residual buffer under the tick
+// deadline dl and its wall form.  It arms the deadline, then — for a
+// head read — asks Aborted, then reads: an abort raised after the
+// question is followed by an Interrupt that lands after the arming, so
+// the read cannot outlive it.  A timeout (the deadline, or an
+// Interrupt) returns 0, nil; the next call decides which it was.
+func (c *Conn) recv(dl int64, wall time.Time, head bool) (int, error) {
+	if c.cfg.Clock.Now() >= dl || !time.Now().Before(wall) {
+		return 0, ErrDeadline
+	}
+	c.nc.SetReadDeadline(wall)
+	if head && c.cfg.Aborted != nil && c.cfg.Aborted() {
+		return 0, ErrAborted
+	}
 	if c.buf == nil {
 		c.buf = make([]byte, 4096)
 	}
-	window := time.Now().Add(c.cfg.PollWindow)
-	if !wall.IsZero() && wall.Before(window) {
-		window = wall
-	}
-	c.nc.SetReadDeadline(window)
-	n, err := c.nc.Read(c.buf)
-	if n > 0 {
-		c.acc = append(c.acc, c.buf[:n]...)
+	n, err := c.sock(nil)
+	c.acc = append(c.acc, c.buf[:n]...)
+	if isTimeout(err) {
+		err = nil
 	}
 	return n, err
 }
 
-// WriteResponse renders resp — with correct Content-Length and a
-// Connection header matching keepAlive — into a pooled buffer and writes
-// it cooperatively, giving up at capTick on the virtual clock so a
-// stalled client cannot hold the writing thread past the request's
-// useful lifetime.
+// WriteResponse is WriteResponses for a single response.
 func (c *Conn) WriteResponse(resp Response, capTick int64, keepAlive bool) error {
-	shard, _ := proc.TrySelf()
-	rb := c.cfg.Pool.get(shard)
-	renderResponse(rb, resp, keepAlive)
-	err := c.writeAll(rb.b.Bytes(), capTick, c.wallCap(capTick))
-	c.cfg.Pool.put(shard, rb)
-	return err
+	one := [1]Response{resp}
+	return c.WriteResponses(one[:], capTick, keepAlive)
 }
 
 // vectoredWriteBytes is the batch body volume above which WriteResponses
@@ -369,8 +366,8 @@ const vectoredWriteBytes = 64 << 10
 // the last takes the caller's keepAlive decision.  Small batches render
 // into one pooled multi-response buffer; batches with large bodies
 // render only the headers and ride a net.Buffers vectored write, so
-// bodies are never copied.  Either way the socket write follows the same
-// poll-window-then-park discipline as writeAll, giving up at capTick.
+// bodies are never copied.  Either way the socket write gives up at
+// capTick, as writeAll does.
 func (c *Conn) WriteResponses(resps []Response, capTick int64, keepAlive bool) error {
 	if len(resps) == 0 {
 		return nil
@@ -420,63 +417,31 @@ func (c *Conn) WriteResponses(resps []Response, capTick int64, keepAlive bool) e
 	return err
 }
 
-// writeBuffers writes an iovec batch with the same poll-window-then-park
-// discipline as writeAll, giving up at capTick.  net.Buffers consumes
-// its consumed prefix across calls, so a partial vectored write resumes
-// exactly where the socket stalled.
+// writeBuffers writes an iovec batch, blocking in the kernel up to the
+// wall form of capTick so a stalled client cannot hold the thread past
+// it.  net.Buffers consumes its written prefix across calls, so a
+// partial write resumes exactly where the socket stalled.
 func (c *Conn) writeBuffers(bufs *net.Buffers, capTick int64, wall time.Time) error {
 	for len(*bufs) > 0 {
 		if c.cfg.Clock.Now() >= capTick || !time.Now().Before(wall) {
 			return ErrDeadline
 		}
-		c.nc.SetWriteDeadline(c.writeWindow(wall))
-		if _, err := bufs.WriteTo(c.nc); err != nil {
-			if isTimeout(err) && len(*bufs) > 0 {
-				if !time.Now().Before(wall) {
-					return ErrDeadline
-				}
-				c.cfg.Park(1)
-				continue
-			}
+		c.nc.SetWriteDeadline(wall)
+		if _, err := c.sock(bufs); err != nil && !(isTimeout(err) && len(*bufs) > 0) {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeAll writes buf with the same poll-window-then-park discipline as
-// ReadRequest, giving up at capTick (or its wall backstop).
+// writeAll is writeBuffers for one flat buffer.
 func (c *Conn) writeAll(buf []byte, capTick int64, wall time.Time) error {
-	off := 0
-	for off < len(buf) {
-		if c.cfg.Clock.Now() >= capTick || !time.Now().Before(wall) {
-			return ErrDeadline
-		}
-		c.nc.SetWriteDeadline(c.writeWindow(wall))
-		n, err := c.nc.Write(buf[off:])
-		off += n
-		if err != nil {
-			if isTimeout(err) && off < len(buf) {
-				if !time.Now().Before(wall) {
-					return ErrDeadline
-				}
-				c.cfg.Park(1)
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// writeWindow is the per-call socket write deadline: the poll window
-// clipped to the tick-derived wall backstop.
-func (c *Conn) writeWindow(wall time.Time) time.Time {
-	window := time.Now().Add(c.cfg.PollWindow)
-	if !wall.IsZero() && wall.Before(window) {
-		window = wall
-	}
-	return window
+	o := c.staged()
+	o.one[0] = buf
+	o.flat = o.one[:]
+	err := c.writeBuffers(&o.flat, capTick, wall)
+	o.one[0] = nil
+	return err
 }
 
 // renderResponse builds the wire form of resp.  It is alloc-free in the

@@ -221,6 +221,7 @@ func (srv *Server) handleTrace(req *Request) Response {
 	}
 	srv.tracePause = true
 	srv.state.Unlock()
+	InterruptAccept(srv.ln) // the acceptor is in the kernel: bring it to the barrier
 	srv.tracer.Disable()
 	for {
 		if req.Expired() {

@@ -1,11 +1,11 @@
 package serve
 
 // Everything that touches a socket or drives a clock exists once, here:
-// the keep-alive connection loop, the clock pump, the cooperative
-// poll-accept loop and the shed-a-connection helper.  The single server
-// and the fabric's thread-per-connection front (internal/shard) are two
-// callers that differ only in the values they pass — the paper's one
-// functor body, parameterised by what varies.
+// the keep-alive connection loop, the clock pump, the accept loop, the
+// shed-a-connection helper and the draining owner's wake-ups.  The
+// single server and the fabric's thread-per-connection front
+// (internal/shard) are two callers that differ only in the values they
+// pass — the paper's one functor body, parameterised by what varies.
 
 import (
 	"errors"
@@ -13,14 +13,11 @@ import (
 	"time"
 
 	"repro/internal/cml"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/proc"
 	"repro/internal/threads"
 )
-
-// PollWindow is how long a single blocking accept/read/write may hold a
-// proc before its thread yields or parks on the clock.
-const PollWindow = time.Millisecond
 
 // RetryAfterSeconds is the Retry-After hint on every shed response.
 const RetryAfterSeconds = 1
@@ -79,6 +76,10 @@ type ConnLoop struct {
 // Serve returns the read error of a connection that broke mid-request
 // or before its first one (EOF, reset); every orderly end returns nil.
 func (l *ConnLoop) Serve(c *Conn, arrival int64) error {
+	if set := c.cfg.Conns; set != nil {
+		set.track(c, true)
+		defer set.track(c, false)
+	}
 	clock := c.cfg.Clock
 	reqs := make([]*Request, 0, l.BatchMax)
 	resps := make([]Response, 0, l.BatchMax+1)
@@ -147,13 +148,53 @@ func FirstStream(resps []Response) int {
 	return first
 }
 
+// ConnSet is the connections an owner's keep-alive loops are serving.
+// Their threads wait for requests in the kernel, so a draining owner
+// raises what its Aborted hook reports and then calls Interrupt.
+type ConnSet struct {
+	lock  core.Lock
+	conns map[*Conn]bool
+}
+
+// NewConnSet returns an empty set.
+func NewConnSet() *ConnSet {
+	return &ConnSet{lock: core.NewMutexLock(), conns: map[*Conn]bool{}}
+}
+
+func (s *ConnSet) track(c *Conn, serving bool) {
+	s.lock.Lock()
+	if serving {
+		s.conns[c] = true
+	} else {
+		delete(s.conns, c)
+	}
+	s.lock.Unlock()
+}
+
+// expired, set as a deadline, wakes whatever is blocked on the socket.
+var expired = time.Unix(1, 0)
+
+// Interrupt expires every tracked connection's read deadline: a thread
+// blocked in ReadRequest asks Aborted again (a read of a request already
+// arriving re-arms and carries on).  Safe from any goroutine.
+func (s *ConnSet) Interrupt() {
+	s.lock.Lock()
+	for c := range s.conns {
+		c.nc.SetReadDeadline(expired)
+	}
+	s.lock.Unlock()
+}
+
 // Pump advances clock from wall time, one tick per tick elapsed, until
-// done reports true.  It is its owner's only time source — read/write
-// waits, parks and deadline checks all observe the virtual clock, so
-// tests may substitute a hand-driven clock by never starting a pump.
+// done reports true.  It is its owner's only time source — parks and
+// deadline checks observe the virtual clock, so tests may substitute a
+// hand-driven clock by never starting a pump — and its only thread that
+// wakes on a period: it sleeps a fraction of a tick between advances,
+// holding no proc, while everything else waits on events.
 func Pump(sys *threads.System, clock *cml.Clock, tick time.Duration, done func() bool) {
 	start := time.Now()
 	var emitted int64
+	nap := func() { time.Sleep(tick / 4) }
 	for {
 		target := int64(time.Since(start) / tick)
 		if d := target - emitted; d > 0 {
@@ -164,10 +205,7 @@ func Pump(sys *threads.System, clock *cml.Clock, tick time.Duration, done func()
 			return
 		}
 		sys.CheckPreempt()
-		// Bound the busy-wait: sleep a fraction of a tick (briefly holding
-		// this proc), then yield so co-resident threads run.
-		time.Sleep(tick / 4)
-		sys.Yield()
+		sys.Blocking(nap)
 	}
 }
 
@@ -184,29 +222,42 @@ func Listen(addr string) (*net.TCPListener, error) {
 	return net.ListenTCP("tcp", a)
 }
 
-// AcceptLoop polls ln cooperatively until stop reports true, then
-// closes it: one PollWindow accept deadline per attempt and a yield on
-// every miss, so the accepting thread honors preemption, revocation and
-// whatever stop itself waits on at every iteration.  Accept failures
-// other than the poll timeout are charged to errs; each accepted
-// connection is handed to admit, which owns it from there.
+// AcceptLoop accepts on ln until stop reports true, then closes it.  The
+// accepting thread waits in the kernel holding no proc; an owner whose
+// stop condition changes calls InterruptAccept to make the loop ask
+// again.  Accept failures other than that interrupt are charged to
+// errs; each accepted connection is handed to admit, which owns it.
 func AcceptLoop(sys *threads.System, ln *net.TCPListener, errs *metrics.Counter,
 	stop func() bool, admit func(net.Conn)) {
-	for !stop() {
-		ln.SetDeadline(time.Now().Add(PollWindow))
-		nc, err := ln.Accept()
+	var nc net.Conn
+	var err error
+	accept := func() { nc, err = ln.Accept() }
+	for {
+		// Clear a past interrupt before asking stop, never after: an
+		// interrupt that follows the question then still ends the Accept.
+		ln.SetDeadline(time.Time{})
+		if stop() {
+			break
+		}
+		sys.Blocking(accept)
 		if err == nil {
 			admit(nc)
 			continue
 		}
-		if isTimeout(err) {
-			sys.CheckPreempt()
-		} else {
+		if !isTimeout(err) {
 			errs.Inc(proc.Self())
 		}
-		sys.Yield()
+		sys.CheckPreempt()
 	}
 	ln.Close()
+}
+
+// InterruptAccept makes the AcceptLoop on ln (nil: none) ask stop again;
+// call it after changing what stop reports.  Safe from any goroutine.
+func InterruptAccept(ln *net.TCPListener) {
+	if ln != nil {
+		ln.SetDeadline(expired)
+	}
 }
 
 // isTimeout reports whether err is a network timeout (deadline expiry).

@@ -146,10 +146,9 @@ func TestReadRequestWallBackstopStalledClock(t *testing.T) {
 			defer cl.Close()
 			defer sv.Close()
 			c := NewConn(sv, ConnConfig{
-				Clock:      cml.NewClock(), // never advanced: a stalled pump
-				Park:       func(int64) {},
-				PollWindow: time.Millisecond,
-				Tick:       time.Millisecond,
+				Clock: cml.NewClock(), // never advanced: a stalled pump
+				Park:  func(int64) {},
+				Tick:  time.Millisecond,
 			})
 			go tc.prep(cl) // net.Pipe writes rendezvous with the reader
 			done := make(chan error, 1)

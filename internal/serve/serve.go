@@ -14,8 +14,9 @@
 //		acceptor ──enqueue──▶ bounded accept queue ──items semaphore──▶
 //		dispatcher ──slots semaphore──▶ forked worker ──respond──▶ client
 //
-//	  - The acceptor polls the TCP listener with short deadlines so it
-//	    remains a cooperative thread (yield/preempt/drain at every loop).
+//	  - The acceptor and every connection thread wait for the network in
+//	    the kernel with their proc released (threads.System.Blocking), so
+//	    a waiter costs the scheduler nothing; drain wakes them directly.
 //	  - Admission control is a bounded accept queue plus a bounded
 //	    in-flight slot semaphore; when the queue is full the acceptor sheds
 //	    the connection immediately with 503 + Retry-After instead of
@@ -25,9 +26,10 @@
 //	    the keep-alive loop the fabric's front shares (loop.go), and the
 //	    in-flight slot bounds concurrently-served connections.
 //	  - Per-request deadlines ride on the CML clock (package cml): ticks
-//	    are pumped from wall time by a dedicated thread, blocked reads and
-//	    writes park on clock events instead of spinning, and handlers
-//	    cancel at safe points when the deadline passes (504).
+//	    are pumped from wall time by a dedicated thread and are timeouts,
+//	    never latency — a socket wait carries its tick budget as the
+//	    socket deadline, and handlers cancel at safe points when the
+//	    deadline passes (504).
 //	  - Graceful drain is wired to the platform's dynamic processor
 //	    allowance: Drain marks the server draining and shrinks the
 //	    allowance with proc.SetLimit, so procs release themselves at safe
@@ -139,6 +141,10 @@ type Options struct {
 	FairLocks bool
 }
 
+// AccessLogBytes bounds the in-memory access log (/log, AccessLog) to its
+// most recent lines, so memory does not grow with requests answered.
+const AccessLogBytes = 1 << 20
+
 // NamedRegistry labels a metrics registry for /metrics rendering.
 type NamedRegistry struct {
 	Name string
@@ -203,7 +209,6 @@ type serveMetrics struct {
 	responded     *metrics.Counter
 	keepalive     *metrics.Counter // requests served beyond a conn's first
 	readErrs      *metrics.Counter
-	readParks     *metrics.Counter
 	latencyTicks  *metrics.Histogram
 	queueTicks    *metrics.Histogram
 	dispatchBatch *metrics.Histogram // units drained per items wakeup
@@ -284,7 +289,7 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 		logpol:  opts.LogPolicy,
 	}
 	if srv.logrt == nil {
-		srv.logrt = mlio.NewRuntime()
+		srv.logrt = mlio.NewBounded(AccessLogBytes)
 	}
 	if srv.logpol == nil {
 		srv.logpol = mlio.NewPerStream()
@@ -309,7 +314,6 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 		responded:    reg.Counter("serve.responded"),
 		keepalive:    reg.Counter("serve.keepalive_reqs"),
 		readErrs:     reg.Counter("serve.read_errors"),
-		readParks:    reg.Counter("serve.read_parks"),
 		latencyTicks: reg.Histogram("serve.latency_ticks", bounds),
 		queueTicks:   reg.Histogram("serve.queue_ticks", bounds),
 		dispatchBatch: reg.Histogram("serve.dispatch_batch",
@@ -326,14 +330,16 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 		srv.evRespond = srv.tracer.Define("serve.respond")
 		srv.evDrain = srv.tracer.Define("serve.drain")
 	}
+	reg.Counter("serve.read_parks") // reads 0 now; the bench harness parses the name
 	srv.ccfg = ConnConfig{
 		Clock:        srv.clock,
 		Park:         srv.park,
+		Blocking:     sys.Blocking,
 		Tick:         srv.opts.Tick,
 		Pool:         srv.pool,
-		OnReadPark:   func() { srv.m.readParks.Inc(proc.Self()) },
 		OnWriteBatch: func(n int) { srv.m.writeBatch.Observe(proc.Self(), int64(n)) },
 		Aborted:      srv.Draining,
+		Conns:        NewConnSet(),
 	}
 	srv.installBuiltins()
 	if opts.MLWorld != nil {
@@ -430,6 +436,9 @@ func (srv *Server) Drain() {
 		// No acceptor to poison the dispatcher; do it here.
 		srv.items.Release()
 	}
+	// The acceptor and idle keep-alive readers are in the kernel: wake them.
+	InterruptAccept(srv.ln)
+	srv.ccfg.Conns.Interrupt()
 }
 
 // OnDrain registers a hook run exactly once when Drain first fires (on
@@ -769,8 +778,7 @@ func (srv *Server) worker(p pending) {
 		srv.finish()
 		return
 	}
-	served := 0        // responses accounted on this connection
-	held := time.Now() // when this worker last offered its proc to others
+	served := 0 // responses accounted on this connection
 	loop := ConnLoop{
 		DeadlineTicks: srv.opts.DeadlineTicks,
 		IdleTicks:     srv.opts.KeepAliveIdleTicks,
@@ -785,15 +793,8 @@ func (srv *Server) worker(p pending) {
 					break // a stream takes the connection: handle nothing behind it
 				}
 			}
-			// A worker whose client keeps the pipeline full never blocks in a
-			// read, so it bounds its own hold on the proc as a blocking call
-			// would: otherwise more such connections than procs starve the
-			// rest — and the pump — past their budgets.
-			if time.Since(held) >= PollWindow {
-				srv.sys.CheckPreempt()
-				srv.sys.Yield()
-				held = time.Now()
-			}
+			// No yield: the read before and the write after this batch each
+			// hand the proc back, so a full pipeline starves nobody.
 			return resps
 		},
 		Stream: func(c *Conn, resp Response) {

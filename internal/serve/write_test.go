@@ -67,9 +67,8 @@ func (fakeAddr) String() string  { return "fake" }
 func testConn(tc *throttledConn) (*Conn, *cml.Clock) {
 	clk := cml.NewClock()
 	cfg := ConnConfig{
-		Clock:      clk,
-		Park:       func(ticks int64) { clk.Advance(nil, ticks) },
-		PollWindow: time.Millisecond,
+		Clock: clk,
+		Park:  func(ticks int64) { clk.Advance(nil, ticks) },
 	}
 	return NewConn(tc, cfg), clk
 }

@@ -13,17 +13,19 @@ import (
 	"net"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proc"
 	"repro/internal/pubsub"
 	"repro/internal/serve"
+	"repro/internal/threads"
 )
 
 func (fab *Fabric) frontMain() {
-	// Every front park (reply waits, supervisor, rebalancer) wakes through
-	// this pump.  It exits last, once the supervisor has drained the
-	// backends and the rebalancer has stopped.
+	// Every front park on the clock (supervisor, policy thread, quiet
+	// streams) wakes through this pump.  It exits last, once the
+	// supervisor has drained the backends and the rebalancer has stopped.
 	fab.frontSys.Fork(func() {
 		serve.Pump(fab.frontSys, fab.clock, fab.opts.Tick, func() bool {
 			fab.state.Lock()
@@ -76,8 +78,8 @@ func (fab *Fabric) supervise() {
 	fab.state.Unlock()
 }
 
-// acceptor admits connections through serve's cooperative poll-accept
-// loop and forks a connection thread per client (or hands the socket to
+// acceptor admits connections through serve's accept loop and forks a
+// connection thread per client (or hands the socket to
 // a poller on the multiplexed front), shedding with 503 when the front's
 // connection bound is reached or the fabric is draining.
 func (fab *Fabric) acceptor() {
@@ -117,26 +119,23 @@ func (fab *Fabric) acceptor() {
 
 // connThread serves one client connection for its keep-alive lifetime
 // through serve's connection loop; its dispatch forwards each gathered
-// batch shard-by-shard as multi-pushes and parks once until the batch's
-// reply group completes.
+// batch shard-by-shard as multi-pushes and blocks once, on the batch's
+// reply group, until the last delivery wakes it.
 func (fab *Fabric) connThread(nc net.Conn) {
 	// The connection's route hash is fixed; the member it resolves to is
 	// looked up per batch against the current membership, so an elastic
 	// fabric re-spreads long-lived connections as shards come and go.
 	chash := fnv1a(nc.RemoteAddr().String())
 	sc := newScratch(fab.opts.BatchMax)
-	sp := newSpinState(replySpin)
-	if fab.opts.FairLocks {
-		sp.min = sp.max // fixed budget: the memoryless fair wait
-	}
+	sc.grp.wake = threads.NewWake()
 	loop := serve.ConnLoop{
 		DeadlineTicks: fab.opts.DeadlineTicks,
 		IdleTicks:     fab.opts.IdleTicks,
 		BatchMax:      fab.opts.BatchMax,
 		Draining:      fab.Draining,
 		Dispatch: func(reqs []*serve.Request, resps []serve.Response) []serve.Response {
-			if fab.forwardBatch(reqs, chash, sc) > 0 {
-				fab.waitReply(sc.grp.done, &sp)
+			if !fab.forwardBatch(reqs, chash, sc) {
+				fab.awaitReplies(&sc.grp)
 			}
 			return fab.collectBatch(reqs, sc.pend, resps)
 		},
@@ -213,7 +212,7 @@ type pendingReply struct {
 
 // scratch is one in-flight dispatch batch's forwarding state, indexed by
 // request slot (full length, not just capacity).  Its owner reuses it
-// only once grp.done(): every pushed cell's delivery has completed.
+// only once the group has completed: every pushed cell has delivered.
 type scratch struct {
 	pend  []pendingReply
 	jbuf  []job
@@ -234,11 +233,12 @@ func newScratch(batchMax int) *scratch {
 // endpoints — and enrolling the rest in cells bound to sc.grp), then
 // forward each run of consecutive same-target requests as one multi-push
 // (one spinlock acquisition per run instead of per request), shedding
-// with 503 where a ring is full.  It returns the number of cells
-// actually pushed, the membership sc.grp is sealed at: a connection
-// thread then waits on the group — one spin-then-park wait for the whole
-// batch, since the last delivery publishes it — and a poller polls it.
-func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32, sc *scratch) int {
+// with 503 where a ring is full, waking each target's idle intake.
+// sc.grp is sealed at the number of cells pushed, and forwardBatch
+// reports whether that already completes it (all inline, shed, or
+// delivered early).  If not, a connection thread blocks on the group —
+// the last delivery wakes it — and a poller polls it.
+func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32, sc *scratch) bool {
 	self := proc.Self()
 	pend, jbuf, cells, g := sc.pend, sc.jbuf, sc.cells, &sc.grp
 	g.open()
@@ -305,6 +305,7 @@ func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32, sc *scratch
 			fab.m.pushBatch.Observe(self, int64(pushed))
 			fab.m.forwarded[tgt.id].Add(self, int64(pushed))
 			fab.emit(fab.evForward, int64(tgt.id))
+			fab.kick(tgt, mem)
 		}
 		for k := pushed; k < n; k++ {
 			fab.m.ringFull.Inc(self)
@@ -317,14 +318,12 @@ func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32, sc *scratch
 	}
 	// Cells shed on a full ring never reached a backend: seal retires them
 	// from the membership before anyone waits.
-	g.seal(members)
-	return members
+	return g.seal(members)
 }
 
 // collectBatch appends the batch's responses to resps in request order,
 // clearing pend as it goes.  Every cell must already be delivered —
-// after the group wait, or a poller's grp.done() — so the loop is pure
-// reads.
+// the group completed — so the loop is pure reads.
 func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
 	resps []serve.Response) []serve.Response {
 	self := proc.Self()
@@ -341,21 +340,15 @@ func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
 	return resps
 }
 
-// waitReply blocks the calling front thread until cond holds — a reply
-// group's countdown — through the connection's spin budget (adaptive,
-// or fixed under Options.FairLocks), charging the reply-wait
-// instruments.
-func (fab *Fabric) waitReply(cond func() bool, sp *spinState) {
-	t0 := fab.clock.Now()
-	spins, parks := spinWait(cond, sp, fab.frontSys.Yield, fab.park)
+// awaitReplies blocks the calling connection thread, holding no proc,
+// until the delivery that completes g signals it; the wait is charged
+// in clock ticks (0 for any sub-tick wait) and in wall time.
+func (fab *Fabric) awaitReplies(g *replyGroup) {
+	t0, w0 := fab.clock.Now(), time.Now()
+	fab.frontSys.Await(g.wake)
 	self := proc.Self()
-	if spins > 0 {
-		fab.m.replySpins.Add(self, int64(spins))
-	}
-	if parks > 0 {
-		fab.m.replyParks.Add(self, int64(parks))
-	}
 	fab.m.waitTicks.Observe(self, fab.clock.Now()-t0)
+	fab.m.waitNS.Observe(self, int64(time.Since(w0)))
 }
 
 // statusResponse renders /fabricz: membership state (epoch, per-member
@@ -381,11 +374,12 @@ func histLine(name string, h metrics.HistogramSnapshot) string {
 func (fab *Fabric) statusResponse() serve.Response {
 	mem := fab.mem.Load()
 	loads := fab.shardLoads(mem.shards)
-	limits := fab.Limits()
 	body := fmt.Sprintf("shards %d\n", len(mem.shards))
 	for i, b := range mem.shards {
+		// limitOf, not Limits(): that reads the membership again, and a
+		// flip between the two reads would index past the shorter one.
 		body += fmt.Sprintf("shard %d limit %d load %d ring %d\n",
-			b.id, limits[i], loads[i], b.ring.depth())
+			b.id, fab.limitOf(b.id), loads[i], b.ring.depth())
 	}
 	snap := fab.frontSys.Metrics().Snapshot()
 	body += fmt.Sprintf("epoch %d active %d min %d max %d elastic %v autoscale %v\n",
@@ -425,10 +419,15 @@ func (fab *Fabric) statusResponse() serve.Response {
 		fab.opts.FairLocks, rw.Count, rwOver,
 		snap.Get("shard.reply_spin"), snap.Get("shard.reply_park"))
 	// Full wait bucket dumps (bound:count, last bucket = past the largest
-	// bound) so the bench harness can record both distributions: ring
-	// claim waits in claim-loop yields, reply waits in clock ticks.
+	// bound) so the bench harness can record the distributions: ring claim
+	// waits in claim-loop yields; reply waits in ticks and (being mostly
+	// sub-tick) ns; signal → idle intake running in ns.
 	body += histLine("ring_wait_hist", rw)
 	body += histLine("reply_wait_hist", snap.Histograms["shard.reply_wait_ticks"])
+	body += histLine("reply_wait_ns_hist", snap.Histograms["shard.reply_wait_ns"])
+	body += histLine("intake_wake_ns_hist", snap.Histograms["shard.intake_wake_ns"])
+	body += fmt.Sprintf("front blocking_calls %d external_wakes %d\n",
+		snap.Get("proc.blocking_calls"), snap.Get("threads.external_wakes"))
 	body += fmt.Sprintf("steals %d stolen %d attempts %d aborts %d ring_expired %d\n",
 		snap.Get("shard.steals"), snap.Get("shard.stolen"),
 		snap.Get("shard.steal_attempts"), snap.Get("shard.steal_aborts"),

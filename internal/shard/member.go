@@ -245,7 +245,11 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 		id: slot, pl: pl, sys: sys, srv: srv,
 		ring:   newRing(fab.opts.RingDepth, fab.lockFactory(world)()),
 		broker: broker, world: world,
+		wake: threads.NewWake(),
 	}
+	// Drain must reach an intake blocked on an empty ring: it waits for
+	// events, not for the clock, so the event has to be sent.
+	srv.OnDrain(b.wake.Signal)
 	b.phase.Store(phaseJoining)
 	fab.state.Lock()
 	fab.limits[slot] = procs // keep the policy thread's bookkeeping view in step
@@ -282,32 +286,25 @@ func (fab *Fabric) backendRunners(b *backend) []func() {
 }
 
 // probe pushes a synthetic /healthz through the newcomer's forward ring
-// and waits for the answer — proof the whole path (ring, intake,
-// admission, dispatch, builtin handler, reply cell) is live before any
-// client traffic can route there.  False only when the fabric drained
-// mid-join; the supervisor then drains the newcomer with everyone else.
+// and blocks for the answer — proof the whole path (ring, intake,
+// admission, dispatch, builtin handler, reply cell, wake) is live before
+// any client traffic can route there.  The answer always comes: a job in
+// a ring is answered even when the fabric drains mid-join.
 func (fab *Fabric) probe(b *backend) bool {
-	var grp replyGroup
+	grp := replyGroup{wake: threads.NewWake()}
 	grp.open()
 	cell := reply{grp: &grp}
-	j := []job{{
+	if b.ring.pushN([]job{{
 		req:       &serve.Request{Method: "GET", Path: "/healthz", Proto: "HTTP/1.1"},
 		remaining: fab.opts.DeadlineTicks,
 		pushed:    fab.clock.Now(),
 		rep:       &cell,
-	}}
-	for b.ring.pushN(j) == 0 {
-		if fab.Draining() {
-			return false
-		}
-		fab.park(1)
+	}}) == 0 {
+		return false
 	}
-	grp.seal(1)
-	for !grp.done() {
-		if fab.Draining() {
-			return false
-		}
-		fab.park(1)
+	b.wake.Signal()
+	if !grp.seal(1) {
+		fab.frontSys.Await(grp.wake)
 	}
 	return cell.resp.Status == 200
 }

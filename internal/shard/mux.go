@@ -24,10 +24,12 @@ package shard
 // The purity rule holds: poller threads are front MP threads
 // (threads.Fork), the inbox is a core spinlock, and all socket I/O is
 // raw fd reads/writes through serve's resumable path — no goroutines,
-// channels, or runtime netpoller involvement.
+// channels, or runtime netpoller involvement.  A poller's two sleeps
+// (readiness wait, reply-poll nap) run under Blocking: no proc held.
 
 import (
 	"net"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -163,11 +165,15 @@ func rawFD(nc net.Conn) (int, bool) {
 func (fab *Fabric) pollerMain(p *poller) {
 	p.evs = make([]netpoll.Event, 256)
 	p.scratch = make([]byte, 32<<10)
-	const pollMS = int(serve.PollWindow / time.Millisecond)
+	const pollMS = 1 // a period, not an event: reply groups complete outside this epoll set
 	idleRounds := 0
+	n := 0
+	// A raw blocking syscall keeps its P until sysmon retakes it: let the
+	// runnable goroutines go first, or on a one-P host a request in
+	// flight stalls behind every idle poller's millisecond.
+	wait := func() { runtime.Gosched(); n, _ = p.np.Wait(p.evs, pollMS) }
+	nap := func() { time.Sleep(fab.opts.Tick / 4) }
 	for {
-		self := proc.Self()
-
 		// Adopt: drain the inbox under its lock, register outside it.
 		p.inbox.lock.Lock()
 		p.take = append(p.take[:0], p.inbox.nc...)
@@ -184,11 +190,12 @@ func (fab *Fabric) pollerMain(p *poller) {
 		// Wait for readiness.  With dispatched batches pending the wait
 		// must not block — their completion comes from backend procs, not
 		// from this epoll set.
-		timeout := pollMS
 		if len(p.dispatched) > 0 {
-			timeout = 0
+			n, _ = p.np.Wait(p.evs, 0)
+		} else {
+			fab.frontSys.Blocking(wait)
 		}
-		n, _ := p.np.Wait(p.evs, timeout)
+		self := proc.Self() // after the wait: Blocking may resume on another proc
 		if n > 0 {
 			fab.m.pollWakeups.Inc(self)
 		}
@@ -296,14 +303,14 @@ func (fab *Fabric) pollerMain(p *poller) {
 		}
 
 		fab.frontSys.CheckPreempt()
-		// Reply-wait discipline, the poller analogue of spinWait: while
-		// dispatches are pending, busy passes (Wait timeout 0) poll the
-		// groups; after replySpin fruitless passes, nap a fraction of a
-		// tick so a saturated shard doesn't cost a spinning proc.
+		// Reply-wait discipline: while dispatches are pending, busy passes
+		// (Wait timeout 0) poll the groups; after replySpin fruitless
+		// passes, nap a fraction of a tick so a saturated shard doesn't
+		// cost a spinning proc.
 		if len(p.dispatched) > 0 && !progress {
 			idleRounds++
 			if idleRounds > replySpin {
-				time.Sleep(fab.opts.Tick / 4)
+				fab.frontSys.Blocking(nap)
 			}
 		} else {
 			idleRounds = 0
@@ -403,9 +410,9 @@ func (fab *Fabric) muxRead(p *poller, mc *muxConn) bool {
 	last := fr.reqs[len(fr.reqs)-1]
 	mc.keepAlive = fr.badTail.Status == 0 && !last.Close && !fab.Draining()
 	mc.wrCap = last.Deadline + 20
-	fab.forwardBatch(fr.reqs, mc.chash, fr.scratch)
+	done := fab.forwardBatch(fr.reqs, mc.chash, fr.scratch)
 	mc.c.SetState(serve.StateDispatched)
-	if fr.grp.done() { // all answered inline (/fabricz, ring-full sheds)
+	if done { // all answered inline (/fabricz, ring-full sheds) or already delivered
 		fab.finishDispatch(p, mc)
 		return true
 	}

@@ -5,11 +5,14 @@ package shard
 // The reply cells and batch-completion groups travelling the other way
 // live in reply.go.
 //
-// The ring is guarded by a core lock — the paper's spinlock, or its
-// fair/GC-aware variants from syncx.LockFactory — not a semaphore,
-// precisely because its two sides live in different thread systems: a
-// spinlock never parks a thread on a foreign scheduler, so pushing from
-// the front world into a backend's ring is safe by construction.
+// The ring's two sides live in different thread systems, and the rule
+// for whatever crosses that boundary is: a primitive wakes on the system
+// it was built on; the waker never parks on a foreign scheduler.  The
+// data moves under a core lock — the paper's spinlock, or its
+// fair/GC-aware variants from syncx.LockFactory — which parks nobody.
+// The consumer's idleness is a threads.Wake the backend owns
+// (backend.wake): the intake blocks on it, no proc held, and every push
+// signals it — one load while a signal is already pending.
 
 import (
 	"sync/atomic"

@@ -10,10 +10,13 @@
 // for sticky workloads), and forwards it over that shard's MPSC ring; a
 // per-shard intake thread — an MP thread of the *backend's* system —
 // pops the ring and injects the request into the shard's admission
-// pipeline with serve.Server.Submit.  Replies travel back through a
-// single-assignment cell the forwarding thread parks on.  The packages'
-// purity rule extends here: no go statements, no channels, no select, no
-// net/http, no sync (the go/scanner test in purity_test.go enforces it);
+// pipeline with serve.Server.Submit.  Replies travel back through
+// single-assignment cells whose batch group wakes the forwarding thread.
+// Neither hop polls: an idle intake and a waiting connection thread each
+// block on a threads.Wake, no proc held, signalled by the push and by
+// the last delivery.  The packages' purity rule extends here: no go
+// statements, no channels, no select, no net/http, no sync (the
+// go/scanner test in purity_test.go enforces it);
 // the only OS-level concurrency is the host calling each element of
 // Runners in its own goroutine, exactly as every System.Run host already
 // must.
@@ -111,10 +114,9 @@ type Options struct {
 	// claim/release protocol (syncx.FairLock): the forward rings'
 	// push/pop/steal lock, the mux accept inbox, and each backend's
 	// admission guards queue contenders in claim order and hand off on
-	// release instead of re-racing, and reply waits drop the adaptive
-	// spin budget for a fixed bounded one — under skewed load no front
-	// thread can lose the acquisition race unboundedly, flattening the
-	// wait tail.  Claim waits are charged to the shard.ring_wait_ticks
+	// release instead of re-racing — under skewed load no front thread
+	// can lose the acquisition race unboundedly, flattening the wait
+	// tail.  Claim waits are charged to the shard.ring_wait_ticks
 	// histogram (in claim-loop yields).  On an MLAlloc fabric the fair
 	// claim loop polls the GC section exactly as the GC-aware spin locks
 	// do, so a saturated claim queue never stalls a collection.  Off by
@@ -327,6 +329,10 @@ type backend struct {
 	broker *pubsub.Broker // Options.PubSub; nil otherwise
 	world  *gcsync.World  // Options.MLAlloc; nil otherwise
 
+	// wake is what the intake blocks on when there is nothing to pop or
+	// steal; pushers, drain and release signal it.
+	wake *threads.Wake
+
 	phase atomic.Int32 // joining → active → draining → gone
 	live  atomic.Int64 // host goroutines currently running this backend's worlds
 }
@@ -345,6 +351,8 @@ type fabricMetrics struct {
 	checks     *metrics.Counter // rebalancer periods evaluated
 	rebalances *metrics.Counter // shifts applied
 	waitTicks  *metrics.Histogram
+	waitNS     *metrics.Histogram // wall-clock reply wait: sub-tick waits read 0 above
+	intakeWake *metrics.Histogram // wall-clock signal → intake running
 
 	// Fair claim/release instruments (Options.FairLocks): how long each
 	// contended claim waited in the FIFO queue, in claim-loop yields.
@@ -352,10 +360,6 @@ type fabricMetrics struct {
 	// shape; stays zero on the spin path.
 	ringWaitTicks *metrics.Histogram
 
-	// Reply-path instruments: the adaptive spin discipline's outcomes and
-	// the coalesced write batch sizes.
-	replySpins *metrics.Counter   // yields spent inside reply spin phases
-	replyParks *metrics.Counter   // clock parks after a spin budget ran out
 	writeBatch *metrics.Histogram // responses coalesced per front socket write
 
 	// Batching & stealing instruments (intake-side counters are bumped
@@ -468,7 +472,7 @@ func New(opts Options) (*Fabric, error) {
 		scaleBox: cml.NewMailbox[int](),
 		state:    core.NewMutexLock(),
 		limits:   make([]int, opts.MaxShards),
-		logrt:    mlio.NewRuntime(),
+		logrt:    mlio.NewBounded(serve.AccessLogBytes),
 		logpol:   mlio.NewPerStream(),
 		tracer:   opts.Tracer,
 	}
@@ -502,6 +506,11 @@ func New(opts Options) (*Fabric, error) {
 		}
 	}
 	bounds := []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
+	nsBounds := []int64{1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7}
+	// A reply wait is one event wait — no spin, no clock park — so these
+	// read 0; registered still, because the bench harness parses them.
+	reg.Counter("shard.reply_spin")
+	reg.Counter("shard.reply_park")
 	fab.m = fabricMetrics{
 		accepted:   reg.Counter("shard.accepted"),
 		acceptErrs: reg.Counter("shard.accept_errors"),
@@ -514,14 +523,14 @@ func New(opts Options) (*Fabric, error) {
 		checks:     reg.Counter("shard.rebalance_checks"),
 		rebalances: reg.Counter("shard.rebalances"),
 		waitTicks:  reg.Histogram("shard.reply_wait_ticks", bounds),
+		waitNS:     reg.Histogram("shard.reply_wait_ns", nsBounds),
+		intakeWake: reg.Histogram("shard.intake_wake_ns", nsBounds),
 		// Ring claim waits are measured in claim-loop yields, not clock
 		// ticks: a claim that straddles a descheduled holder burns many
 		// cheap yields, so the bounds stretch four decades.  Overflow
 		// (>100k yields) is the heavy tail the fair protocol rules out.
 		ringWaitTicks: reg.Histogram("shard.ring_wait_ticks",
 			[]int64{1, 2, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000}),
-		replySpins: reg.Counter("shard.reply_spin"),
-		replyParks: reg.Counter("shard.reply_park"),
 		writeBatch: reg.Histogram("shard.write_batch",
 			[]int64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
 		pushBatch: reg.Histogram("shard.push_batch",
@@ -568,10 +577,12 @@ func New(opts Options) (*Fabric, error) {
 	fab.ccfg = serve.ConnConfig{
 		Clock:        fab.clock,
 		Park:         fab.park,
+		Blocking:     fab.frontSys.Blocking,
 		Tick:         opts.Tick,
 		Pool:         fab.pool,
 		OnWriteBatch: func(n int) { fab.m.writeBatch.Observe(proc.Self(), int64(n)) },
 		Aborted:      fab.Draining,
+		Conns:        serve.NewConnSet(),
 	}
 	return fab, nil
 }
@@ -654,6 +665,9 @@ func (fab *Fabric) Drain() {
 	fab.state.Lock()
 	fab.draining = true
 	fab.state.Unlock()
+	// The acceptor and idle connection threads are in the kernel: wake them.
+	serve.InterruptAccept(fab.ln)
+	fab.ccfg.Conns.Interrupt()
 	// Brokers must begin draining now, not when the backends do: a
 	// streaming subscriber connection stays open (and counted) until its
 	// stream closes, and the supervisor waits for zero connections before
@@ -701,16 +715,16 @@ func (fab *Fabric) emit(ev trace.EventID, arg int64) {
 // inside its scheduling world.  Each pass drains a batch from the ring —
 // one spinlock acquisition for up to BatchMax jobs — bounded by the
 // shard's queue headroom: when the shard is saturated, jobs deliberately
-// stay in the ring where an idle sibling's intake can steal them.  When
-// its own ring is empty the intake tries exactly that against the most
-// loaded sibling.  Every drained job's deadline budget is charged with
-// its front-clock ring dwell before SubmitMany rebases it onto this
-// shard's clock; jobs whose budget died in the ring are answered 504
-// here without ever entering the queue.  The thread exits once the shard
-// is draining and the ring is empty (the front guarantees no more pushes
-// by then: backends drain only after the last front connection closed,
-// and a job stolen into this ring keeps its forwarding connection open
-// until the reply is delivered).
+// stay in the ring where an idle sibling's intake can steal them.  With
+// its own ring empty the intake steals from the most loaded sibling, or
+// blocks until signalled that there is work.  Every drained job's
+// deadline budget is charged with its front-clock ring dwell before
+// SubmitMany rebases it onto this shard's clock; jobs whose budget died
+// in the ring are answered 504 here without ever entering the queue.
+// The thread exits once the shard is draining and the ring is empty (the
+// front guarantees no more pushes by then: backends drain only after the
+// last front connection closed, and a job stolen into this ring keeps
+// its forwarding connection open until the reply is delivered).
 func (fab *Fabric) intake(b *backend) {
 	jobs := make([]job, fab.opts.BatchMax)
 	subs := make([]serve.SubmitJob, fab.opts.BatchMax)
@@ -730,12 +744,19 @@ func (fab *Fabric) intake(b *backend) {
 			if b.srv.Draining() {
 				return
 			}
-			// Idle-wait by sleeping a fraction of a tick then yielding (the
-			// clock pump's own discipline) rather than parking on the shard
-			// clock: the pump may exit during drain before a parked intake's
-			// wakeup, and nothing would advance the clock again.
-			time.Sleep(fab.opts.Tick / 4)
-			b.sys.Yield()
+			if limit == 0 {
+				// Saturated, not idle: let the threads working the queue run.
+				b.sys.Yield()
+				continue
+			}
+			// Nothing to pop or steal: block, holding no proc, until a push
+			// here, a push that left a sibling's ring worth stealing from
+			// (kick), or the shard's drain signals — none of them the clock.
+			// A signal sent since the look above is pending and ends the
+			// wait at once, so no wake-up is lost.
+			if d := b.sys.Await(b.wake); d > 0 {
+				fab.m.intakeWake.Observe(proc.Self(), int64(d))
+			}
 			continue
 		}
 		now := fab.clock.Now()
@@ -768,5 +789,20 @@ func (fab *Fabric) intake(b *backend) {
 			subs[i] = serve.SubmitJob{}
 		}
 		b.sys.CheckPreempt()
+	}
+}
+
+// kick follows a push into tgt's ring: signal tgt's intake and, once the
+// ring holds enough to steal from, its siblings' too — a blocked thief
+// cannot notice the backlog by itself.  A signal to an intake that is
+// busy (one is already pending) costs a load.
+func (fab *Fabric) kick(tgt *backend, mem *membership) {
+	tgt.wake.Signal()
+	if fab.opts.StealMin > 0 && tgt.ring.depth() >= fab.opts.StealMin {
+		for _, o := range mem.shards {
+			if o != tgt {
+				o.wake.Signal()
+			}
+		}
 	}
 }

@@ -485,6 +485,9 @@ func TestStealMovesQueuedWorkToIdleShard(t *testing.T) {
 		QueueDepth:     1,
 		RebalanceTicks: NoRebalance,
 	}, func(fab *Fabric) { fab.Handle("/park", parkHandler) })
+	// The thief starts out blocked on its wake, not polling for victims:
+	// what reaches it is the hot shard's pusher kicking an idle sibling.
+	intakesBlocked(t, tf.fab)
 	base := tf.fab.FrontMetrics().Snapshot()
 
 	const reqs = 12

@@ -1,6 +1,8 @@
 package threads
 
 import (
+	"time"
+
 	"repro/internal/cont"
 	"repro/internal/core"
 	"repro/internal/proc"
@@ -22,7 +24,7 @@ type PrioEntry struct {
 // queue is a priority queue.  Scheduling remains strictly a property of
 // the queue discipline, as the paper's design intends.
 type PrioSystem struct {
-	pl        *proc.Platform
+	sched
 	readyLock core.Lock
 	ready     queue.Queue[PrioEntry]
 
@@ -32,14 +34,15 @@ type PrioSystem struct {
 
 // NewPrio applies the priority-thread functor to a platform.
 func NewPrio(pl *proc.Platform) *PrioSystem {
-	return &PrioSystem{
-		pl:        pl,
+	s := &PrioSystem{
 		readyLock: core.NewMutexLock(),
 		ready: queue.NewPriority(func(a, b PrioEntry) bool {
 			return a.Prio < b.Prio
 		}),
 		nextIDLock: core.NewMutexLock(),
 	}
+	s.sched = newSched(pl, s.pending, s.Dispatch, s.enqueue)
+	return s
 }
 
 // Run bootstraps the platform with root as thread 0 and blocks until
@@ -64,26 +67,52 @@ func (s *PrioSystem) newID() int {
 }
 
 // Reschedule makes a ready thread runnable at the given priority — the
-// footnote's changed enqueue signature.
+// footnote's changed enqueue signature — from any goroutine, starting a
+// proc for it if a slot is idle (System.Reschedule's rule).
 func (s *PrioSystem) Reschedule(run func(), id, prio int) {
+	s.enqueue(run, id, prio)
+	s.wake()
+}
+
+func (s *PrioSystem) enqueue(run func(), id, prio int) {
 	s.readyLock.Lock()
 	s.ready.Enq(PrioEntry{Entry: Entry{Run: run, ID: id}, Prio: prio})
 	s.readyLock.Unlock()
 }
 
+func (s *PrioSystem) pending() bool {
+	s.readyLock.Lock()
+	defer s.readyLock.Unlock()
+	return s.ready.Len() > 0
+}
+
 // Dispatch transfers control to the highest-priority ready thread, or
 // releases the proc; it never returns.
 func (s *PrioSystem) Dispatch() {
-	s.readyLock.Lock()
-	e, err := s.ready.Deq()
-	s.readyLock.Unlock()
-	if err != nil {
-		s.pl.Release()
-		panic("threads: Release returned")
+	p := proc.Current()
+	s.pl.ReleaseIfRevoked(p)
+	for {
+		s.readyLock.Lock()
+		e, err := s.ready.Deq()
+		s.readyLock.Unlock()
+		if err == nil {
+			p.SetDatum(e.ID)
+			e.Run()
+			panic("threads: Entry.Run returned")
+		}
+		s.pl.ReleaseUnless(p, s.pending)
 	}
-	proc.SetDatum(e.ID)
-	e.Run()
-	panic("threads: Entry.Run returned")
+}
+
+// Blocking is System.Blocking with the priority the thread re-queues at
+// should it return to a full allowance.
+func (s *PrioSystem) Blocking(f func(), prio int) { s.blocking(f, s.ID(), prio) }
+
+// Await is System.Await; prio as for Blocking.
+func (s *PrioSystem) Await(w *Wake, prio int) time.Duration {
+	t0 := time.Now().UnixNano()
+	s.Blocking(w.wait, prio)
+	return w.since(t0)
 }
 
 // Fork starts a new thread executing child at the given priority.  As in
@@ -97,7 +126,7 @@ func (s *PrioSystem) Fork(child func(), childPrio, parentPrio int) {
 			if err != proc.ErrNoMoreProcs {
 				panic(err)
 			}
-			s.Reschedule(func() { cont.Throw(parent, core.Unit{}) }, parentID, parentPrio)
+			s.enqueue(func() { cont.Throw(parent, core.Unit{}) }, parentID, parentPrio)
 		}
 		proc.SetDatum(s.newID())
 		_ = childPrio // the child holds the proc; its priority matters at its next yield
@@ -110,7 +139,7 @@ func (s *PrioSystem) Fork(child func(), childPrio, parentPrio int) {
 // Yield gives up the processor, re-queueing the caller at prio.
 func (s *PrioSystem) Yield(prio int) {
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
-		s.Reschedule(func() { cont.Throw(k, core.Unit{}) }, s.ID(), prio)
+		s.enqueue(func() { cont.Throw(k, core.Unit{}) }, s.ID(), prio)
 		s.Dispatch()
 		return core.Unit{} // unreachable
 	})

@@ -91,7 +91,7 @@ type sysMetrics struct {
 
 // System is a multiprocessor thread package over the MP platform (Fig. 3).
 type System struct {
-	pl          *proc.Platform
+	sched
 	distributed bool
 	queues      []runQueue // one entry in central mode, MaxProcs in distributed
 
@@ -125,7 +125,6 @@ func New(pl *proc.Platform, opts Options) *System {
 		n = pl.MaxProcs()
 	}
 	s := &System{
-		pl:          pl,
 		distributed: opts.Distributed,
 		queues:      make([]runQueue, n),
 		nextIDLock:  opts.NewLock(),
@@ -153,11 +152,10 @@ func New(pl *proc.Platform, opts Options) *System {
 		s.queues[i].lock = opts.NewLock()
 		s.queues[i].q = opts.NewQueue()
 	}
+	s.sched = newSched(pl, s.pending, s.Dispatch,
+		func(run func(), id, _ int) { s.reschedule(0, run, id) })
 	return s
 }
-
-// Platform returns the underlying MP platform.
-func (s *System) Platform() *proc.Platform { return s.pl }
 
 // Stats returns a snapshot of scheduler counters, merged across the
 // per-proc shards on this (cold) read side.
@@ -235,12 +233,17 @@ func (s *System) newID() int {
 
 // Reschedule makes a ready thread runnable (Fig. 3: reschedule).  In
 // distributed mode the entry is pushed on the calling proc's own queue.
+// Any goroutine may call it — a synchronization construct's release
+// runs on whichever world releases it — so the enqueue is followed by
+// Fig. 3's fork rule (wake): no dispatch of the caller's is promised to
+// follow, and the thread must not wait for one if a slot is idle.
 func (s *System) Reschedule(run func(), id int) {
 	self := 0
 	if s.distributed {
-		self = proc.Self()
+		self, _ = proc.TrySelf() // a caller outside the MP world homes on queue 0
 	}
 	s.reschedule(self, run, id)
+	s.wake()
 }
 
 // reschedule queues an entry on the given proc's queue (queue 0 in
@@ -270,23 +273,45 @@ func (s *System) Dispatch() { s.dispatch(proc.Current()) }
 
 // dispatch is Dispatch with the calling proc already resolved: every
 // per-proc counter and queue below shards by its id, so the (goroutine-
-// local) lookup happens exactly once per scheduler operation.
+// local) lookup happens exactly once per scheduler operation.  Both
+// ways out of the loop are the platform's decision, not a check here
+// followed by a release there.
 func (s *System) dispatch(p *proc.Proc) {
 	self := p.ID()
 	s.m.dispatches.Inc(self)
-	if s.pl.Revoked() {
-		s.pl.Release()
-		panic("threads: Release returned")
+	s.pl.ReleaseIfRevoked(p)
+	for {
+		if e, ok := s.pop(self); ok {
+			p.SetDatum(e.ID)
+			s.tracer.Emit(self, s.evDispatch, int64(e.ID))
+			e.Run()
+			panic("threads: Entry.Run returned")
+		}
+		s.pl.ReleaseUnless(p, s.pending)
 	}
-	if e, ok := s.pop(self); ok {
-		p.SetDatum(e.ID)
-		s.tracer.Emit(self, s.evDispatch, int64(e.ID))
-		e.Run()
-		panic("threads: Entry.Run returned")
-	}
-	s.pl.Release()
-	panic("threads: Release returned")
 }
+
+// pending reports whether any run queue holds a ready thread.
+func (s *System) pending() bool {
+	for i := range s.queues {
+		rq := &s.queues[i]
+		rq.lock.Lock()
+		n := rq.q.Len()
+		rq.lock.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Blocking runs f — one bare OS call: a socket read or write, an
+// accept, a sleep, a poller wait — with no proc held, so a thread
+// waiting in the kernel costs its system nothing: the caller's proc is
+// released (and restarted on Dispatch if ready threads are queued), f
+// runs, and the thread continues on a proc again — at once if a slot is
+// idle, else queued as any ready thread.  f must make no MP call.
+func (s *System) Blocking(f func()) { s.blocking(f, s.ID(), 0) }
 
 // pop takes the next ready entry: the local queue first, then — in
 // distributed mode — a sweep of the other procs' queues (work stealing).
