@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -157,4 +158,126 @@ func TestIDDistinctAmongLiveGoroutines(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// ---- the index and its slots -----------------------------------------
+
+// TestChurnWithGReuse: waves of goroutines that Set, Get, Del and exit.
+// Each wave runs on g structs the previous wave gave back, so every slot
+// is inherited many times over; no goroutine may start with a baton or
+// ever read one that is not its own.
+func TestChurnWithGReuse(t *testing.T) {
+	const perWave, waves, reads = 1000, 10, 20
+	base := Len()
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for i := 0; i < perWave; i++ {
+			wg.Add(1)
+			go func(me int) {
+				defer wg.Done()
+				if v, ok := Get(); ok {
+					t.Errorf("goroutine starts with baton %v", v)
+				}
+				for r := 0; r < reads; r++ {
+					Set(me + r)
+					if v, ok := Get(); !ok || v != me+r {
+						t.Errorf("Get = %v, %v; want %d", v, ok, me+r)
+						break
+					}
+					if r%4 == 0 {
+						runtime.Gosched()
+					}
+				}
+				Del()
+				if v, ok := Get(); ok {
+					t.Errorf("baton %v survives Del", v)
+				}
+			}(w*perWave*reads + i*reads)
+		}
+		wg.Wait()
+		if n := Len(); n != base {
+			t.Fatalf("wave %d: Len = %d, want %d", w, n, base)
+		}
+	}
+}
+
+// TestIndexGrowsUnderParkedHolders: thousands of goroutines hold a baton
+// at once — the shape of idle keep-alive connections — so the index
+// doubles several times while earlier holders are parked; all of them,
+// the first inserted and the last included, still find their own slot.
+func TestIndexGrowsUnderParkedHolders(t *testing.T) {
+	base := Len()
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < parkedHolders; i++ {
+		ready.Add(1)
+		done.Add(1)
+		go func(me int) {
+			defer done.Done()
+			Set(me)
+			ready.Done()
+			<-release
+			if v, ok := Get(); !ok || v != me {
+				t.Errorf("holder %d reads %v, %v after the index grew", me, v, ok)
+			}
+			Del()
+		}(i)
+	}
+	ready.Wait()
+	if n := Len(); n != base+parkedHolders {
+		t.Errorf("Len = %d with %d parked holders, want %d", n, parkedHolders, base+parkedHolders)
+	}
+	if c := len(cur.Load().entries); c <= 1<<initialBits || c < 2*parkedHolders {
+		t.Errorf("index has %d entries for %d keys: it must have grown from %d and be at most half full",
+			c, parkedHolders, 1<<initialBits)
+	}
+	close(release)
+	done.Wait()
+	if n := Len(); n != base {
+		t.Errorf("Len = %d after every holder left, want %d", n, base)
+	}
+}
+
+// TestDeadGoroutineKeyReadsUnset: the slot outlives its goroutine (the
+// index is insert-only), the baton does not — so whoever next runs under
+// that identity reads it as unset.  The runtime hands the recycled g to
+// some later goroutine of its choosing, usually not one this test can
+// name, so the key is also looked up directly.
+func TestDeadGoroutineKeyReadsUnset(t *testing.T) {
+	ids := make(chan uint64)
+	go func() {
+		Set("mortal")
+		Del()
+		ids <- ID()
+	}()
+	dead := <-ids
+	s := find(dead)
+	if s == nil {
+		t.Fatal("a dead goroutine's key left the index: it is insert-only")
+	}
+	if s.set.Load() || s.v != nil {
+		t.Fatalf("a dead goroutine's slot still holds %v", s.v)
+	}
+	type seen struct {
+		id  uint64
+		v   any
+		set bool
+	}
+	for try := 0; try < 100; try++ {
+		ch := make(chan seen)
+		go func() {
+			v, ok := Get()
+			ch <- seen{ID(), v, ok}
+		}()
+		if got := <-ch; got.set {
+			t.Fatalf("fresh goroutine %#x (dead one was %#x) reads baton %v", got.id, dead, got.v)
+		}
+	}
+}
+
+func BenchmarkSetDel(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Set(i)
+		Del()
+	}
 }

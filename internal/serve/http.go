@@ -13,6 +13,7 @@ package serve
 import (
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/threads"
 )
@@ -157,18 +158,18 @@ func (srv *Server) route(path string) Handler {
 // parseHeader parses the request line and headers; header is the block
 // up to, not including, the blank line.  It resolves Content-Length and
 // the keep-alive decision (Close) from the Connection header and
-// protocol version.
+// protocol version.  The block is converted to a string once and every
+// field is a substring of it, found by index: per request the parser
+// allocates that string, the Request and its header slice.
 func parseHeader(header []byte) (*Request, int, error) {
-	lines := strings.Split(string(header), "\r\n")
-	if len(lines) == 0 {
+	line, rest, more := strings.Cut(string(header), "\r\n")
+	// Method, target and protocol, separated by exactly two spaces.
+	sp1, sp2 := strings.IndexByte(line, ' '), strings.LastIndexByte(line, ' ')
+	if strings.Count(line, " ") != 2 || !strings.HasPrefix(line[sp2+1:], "HTTP/1.") {
 		return nil, 0, ErrBadRequest
 	}
-	parts := strings.Split(lines[0], " ")
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
-		return nil, 0, ErrBadRequest
-	}
-	req := &Request{Method: parts[0], Proto: parts[2]}
-	target := parts[1]
+	req := &Request{Method: line[:sp1], Proto: line[sp2+1:]}
+	target := line[sp1+1 : sp2]
 	if i := strings.IndexByte(target, '?'); i >= 0 {
 		req.Path, req.RawQuery = target[:i], target[i+1:]
 	} else {
@@ -177,14 +178,18 @@ func parseHeader(header []byte) (*Request, int, error) {
 	if req.Path == "" || req.Path[0] != '/' {
 		return nil, 0, ErrBadRequest
 	}
+	if more {
+		req.hdrs = make([]hdrKV, 0, strings.Count(rest, "\r\n")+1)
+	}
 	contentLength := 0
-	for _, ln := range lines[1:] {
-		i := strings.IndexByte(ln, ':')
+	for more {
+		line, rest, more = strings.Cut(rest, "\r\n")
+		i := strings.IndexByte(line, ':')
 		if i < 0 {
 			continue
 		}
-		k := strings.TrimSpace(ln[:i])
-		v := strings.TrimSpace(ln[i+1:])
+		k := strings.TrimSpace(line[:i])
+		v := strings.TrimSpace(line[i+1:])
 		req.hdrs = append(req.hdrs, hdrKV{k: k, v: v})
 		if strings.EqualFold(k, "Content-Length") {
 			n, err := strconv.Atoi(v)
@@ -197,15 +202,31 @@ func parseHeader(header []byte) (*Request, int, error) {
 	// Keep-alive decision: HTTP/1.1 persists unless the client opts out;
 	// HTTP/1.0 closes unless the client opts in.
 	req.Close = req.Proto == "HTTP/1.0"
-	for _, tok := range strings.Split(req.Header("Connection"), ",") {
-		switch strings.ToLower(strings.TrimSpace(tok)) {
-		case "close":
+	tokens := req.Header("Connection")
+	for more = true; more; {
+		var tok string
+		tok, tokens, more = strings.Cut(tokens, ",")
+		switch tok = strings.TrimSpace(tok); {
+		case lowerIs(tok, "close"):
 			req.Close = true
-		case "keep-alive":
+		case lowerIs(tok, "keep-alive"):
 			req.Close = false
 		}
 	}
 	return req, contentLength, nil
+}
+
+// lowerIs reports whether strings.ToLower(s) == want, for an ASCII want,
+// without building the lowered string.
+func lowerIs(s, want string) bool {
+	i := 0
+	for _, r := range s {
+		if i == len(want) || unicode.ToLower(r) != rune(want[i]) {
+			return false
+		}
+		i++
+	}
+	return i == len(want)
 }
 
 // statusText covers the statuses serve emits.

@@ -51,8 +51,8 @@
 package serve
 
 import (
-	"fmt"
 	"net"
+	"strconv"
 	"time"
 
 	"repro/internal/cml"
@@ -883,10 +883,25 @@ func (srv *Server) dispatchRequest(req *Request) Response {
 
 // logAccess writes one access-log line through mlio's locking policy:
 // "shard tick proc status latency method path".  The shard id keeps
-// lines attributable when fabric shards share one log stream.
+// lines attributable when fabric shards share one log stream.  The
+// record is built in the calling proc's pooled buffer: one line per
+// response is no place for fmt.
 func (srv *Server) logAccess(status int, arrival int64, method, path string) {
 	now := srv.clock.Now()
-	rec := fmt.Sprintf("%d %d %d %d %d %s %s",
-		srv.opts.ShardID, now, proc.Self(), status, now-arrival, method, path)
-	srv.logpol.Write(srv.logrt.Open("access"), []byte(rec))
+	self := proc.Self()
+	rb := srv.pool.get(self)
+	// Writing the record back is what leaves its capacity with the buffer.
+	rb.b.Write(appendAccessRecord(rb.b.AvailableBuffer(),
+		srv.opts.ShardID, now, self, status, now-arrival, method, path))
+	srv.logpol.Write(srv.logrt.Open("access"), rb.b.Bytes())
+	srv.pool.put(self, rb)
+}
+
+// appendAccessRecord appends one access-log record to dst.
+func appendAccessRecord(dst []byte, shard int, now int64, self, status int, latency int64, method, path string) []byte {
+	for _, n := range [...]int64{int64(shard), now, int64(self), int64(status), latency} {
+		dst = append(strconv.AppendInt(dst, n, 10), ' ')
+	}
+	dst = append(append(dst, method...), ' ')
+	return append(dst, path...)
 }

@@ -1,6 +1,7 @@
 package threads
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cont"
@@ -28,8 +29,7 @@ type PrioSystem struct {
 	readyLock core.Lock
 	ready     queue.Queue[PrioEntry]
 
-	nextIDLock core.Lock
-	nextID     int
+	nextID atomic.Int64 // last thread id handed out
 }
 
 // NewPrio applies the priority-thread functor to a platform.
@@ -39,16 +39,15 @@ func NewPrio(pl *proc.Platform) *PrioSystem {
 		ready: queue.NewPriority(func(a, b PrioEntry) bool {
 			return a.Prio < b.Prio
 		}),
-		nextIDLock: core.NewMutexLock(),
 	}
-	s.sched = newSched(pl, s.pending, s.Dispatch, s.enqueue)
+	s.sched = newSched(pl, s.pending, s.dispatch, s.enqueue)
 	return s
 }
 
 // Run bootstraps the platform with root as thread 0 and blocks until
 // quiescence.
 func (s *PrioSystem) Run(root func()) {
-	s.nextID = 1
+	s.nextID.Store(0) // root is thread 0; the first Fork gets 1
 	s.pl.Run(func() {
 		root()
 		s.Dispatch()
@@ -58,13 +57,7 @@ func (s *PrioSystem) Run(root func()) {
 // ID returns the current thread's identifier.
 func (s *PrioSystem) ID() int { return proc.GetDatum().(int) }
 
-func (s *PrioSystem) newID() int {
-	s.nextIDLock.Lock()
-	id := s.nextID
-	s.nextID++
-	s.nextIDLock.Unlock()
-	return id
-}
+func (s *PrioSystem) newID() int { return int(s.nextID.Add(1)) }
 
 // Reschedule makes a ready thread runnable at the given priority — the
 // footnote's changed enqueue signature — from any goroutine, starting a
@@ -89,6 +82,13 @@ func (s *PrioSystem) pending() bool {
 // Dispatch transfers control to the highest-priority ready thread, or
 // releases the proc; it never returns.
 func (s *PrioSystem) Dispatch() {
+	s.dispatch()
+	cont.Exit()
+}
+
+// dispatch is Dispatch for a caller in tail position (System.dispatch's
+// contract): it returns once the proc has been handed over.
+func (s *PrioSystem) dispatch() {
 	p := proc.Current()
 	s.pl.ReleaseIfRevoked(p)
 	for {
@@ -98,7 +98,8 @@ func (s *PrioSystem) Dispatch() {
 		if err == nil {
 			p.SetDatum(e.ID)
 			e.Run()
-			panic("threads: Entry.Run returned")
+			mustHaveLeft(s.pl)
+			return
 		}
 		s.pl.ReleaseUnless(p, s.pending)
 	}
@@ -126,21 +127,21 @@ func (s *PrioSystem) Fork(child func(), childPrio, parentPrio int) {
 			if err != proc.ErrNoMoreProcs {
 				panic(err)
 			}
-			s.enqueue(func() { cont.Throw(parent, core.Unit{}) }, parentID, parentPrio)
+			s.enqueue(resume(parent), parentID, parentPrio)
 		}
 		proc.SetDatum(s.newID())
 		_ = childPrio // the child holds the proc; its priority matters at its next yield
 		child()
-		s.Dispatch()
-		return core.Unit{} // unreachable
+		s.dispatch()
+		return core.Unit{} // to the carrier: the proc has gone to a ready thread
 	})
 }
 
 // Yield gives up the processor, re-queueing the caller at prio.
 func (s *PrioSystem) Yield(prio int) {
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
-		s.enqueue(func() { cont.Throw(k, core.Unit{}) }, s.ID(), prio)
-		s.Dispatch()
-		return core.Unit{} // unreachable
+		s.enqueue(resume(k), s.ID(), prio)
+		s.dispatch()
+		return core.Unit{} // to the carrier, as in Fork
 	})
 }

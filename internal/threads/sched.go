@@ -21,16 +21,16 @@ import (
 // A proc of the system upholds it by dispatching; wake upholds it for
 // everyone who enqueues without a dispatch to follow.
 type sched struct {
-	pl       *proc.Platform
-	pending  func() bool                    // ready queue non-empty? (leaf locks only)
-	dispatch func()                         // the package's Dispatch
-	requeue  func(run func(), id, prio int) // bare enqueue, no wake
-	wakes    *metrics.Counter               // threads.external_wakes
+	pl      *proc.Platform
+	pending func() bool                    // ready queue non-empty? (leaf locks only)
+	loop    func()                         // the package's dispatch loop, as a proc's root
+	requeue func(run func(), id, prio int) // bare enqueue, no wake
+	wakes   *metrics.Counter               // threads.external_wakes
 }
 
-func newSched(pl *proc.Platform, pending func() bool, dispatch func(),
+func newSched(pl *proc.Platform, pending func() bool, loop func(),
 	requeue func(run func(), id, prio int)) sched {
-	return sched{pl: pl, pending: pending, dispatch: dispatch, requeue: requeue,
+	return sched{pl: pl, pending: pending, loop: loop, requeue: requeue,
 		wakes: pl.Metrics().Counter("threads.external_wakes")}
 }
 
@@ -48,7 +48,7 @@ func (s *sched) wake() {
 	if !s.pl.Idle() || !s.pending() {
 		return
 	}
-	if s.pl.AcquireFunc(s.dispatch, 0) == nil && !s.pl.Holds() {
+	if s.pl.AcquireFunc(s.loop, 0) == nil && !s.pl.Holds() {
 		self, _ := proc.TrySelf()
 		s.wakes.Inc(self)
 	}
@@ -67,10 +67,25 @@ func (s *sched) blocking(f func(), id, prio int) {
 	// thread.  Still counted as blocked until queued *and* woken for, so
 	// the platform cannot quiesce around the entry.
 	cont.Suspend(func(k *core.UnitCont) {
-		s.requeue(func() { cont.Throw(k, core.Unit{}) }, id, prio)
+		s.requeue(resume(k), id, prio)
 		s.wake()
 		s.pl.Requeued()
 	})
+}
+
+// resume is the Entry.Run of a thread parked as a unit continuation: the
+// dispatching proc is handed over and the dispatcher returns (cont.Resume)
+// instead of unwinding.
+func resume(k *core.UnitCont) func() {
+	return func() { cont.Resume(k, core.Unit{}) }
+}
+
+// mustHaveLeft is dispatch's check on an Entry.Run that came back: it
+// must have given the proc away.
+func mustHaveLeft(pl *proc.Platform) {
+	if pl.Holds() {
+		panic("threads: Entry.Run returned holding its proc")
+	}
 }
 
 // Wake is a wake-up cell that crosses thread systems: a thread blocks

@@ -31,8 +31,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Entry is a ready thread: Run throws the thread's continuation and never
-// returns; ID is the thread identifier dispatch installs as the proc datum.
+// Entry is a ready thread: Run hands the calling proc to the thread's
+// continuation — cont.Resume, which returns to a caller holding no proc,
+// or cont.Throw, which unwinds it — and ID is the thread identifier
+// dispatch installs as the proc datum first.
 type Entry struct {
 	Run func()
 	ID  int
@@ -95,8 +97,7 @@ type System struct {
 	distributed bool
 	queues      []runQueue // one entry in central mode, MaxProcs in distributed
 
-	nextIDLock spinlock.Lock
-	nextID     int
+	nextID atomic.Int64 // last thread id handed out
 
 	quantum time.Duration
 	preempt []atomic.Bool
@@ -127,7 +128,6 @@ func New(pl *proc.Platform, opts Options) *System {
 	s := &System{
 		distributed: opts.Distributed,
 		queues:      make([]runQueue, n),
-		nextIDLock:  opts.NewLock(),
 		quantum:     opts.Quantum,
 		preempt:     make([]atomic.Bool, pl.MaxProcs()),
 		reg:         pl.Metrics(),
@@ -152,7 +152,7 @@ func New(pl *proc.Platform, opts Options) *System {
 		s.queues[i].lock = opts.NewLock()
 		s.queues[i].q = opts.NewQueue()
 	}
-	s.sched = newSched(pl, s.pending, s.Dispatch,
+	s.sched = newSched(pl, s.pending, func() { s.dispatch(proc.Current()) },
 		func(run func(), id, _ int) { s.reschedule(0, run, id) })
 	return s
 }
@@ -183,7 +183,7 @@ func (s *System) Run(root func()) {
 		stop = make(chan struct{})
 		go s.ticker(stop)
 	}
-	s.nextID = 1
+	s.nextID.Store(0) // root is thread 0; the first Fork gets 1
 	s.pl.Run(func() {
 		root()
 		s.Dispatch()
@@ -223,13 +223,7 @@ func threadID(p *proc.Proc) int {
 	return id
 }
 
-func (s *System) newID() int {
-	s.nextIDLock.Lock()
-	id := s.nextID
-	s.nextID++
-	s.nextIDLock.Unlock()
-	return id
-}
+func (s *System) newID() int { return int(s.nextID.Add(1)) }
 
 // Reschedule makes a ready thread runnable (Fig. 3: reschedule).  In
 // distributed mode the entry is pushed on the calling proc's own queue.
@@ -261,7 +255,7 @@ func (s *System) reschedule(self int, run func(), id int) {
 
 // RescheduleCont queues a plain unit continuation, the common case.
 func (s *System) RescheduleCont(k *core.UnitCont, id int) {
-	s.Reschedule(func() { cont.Throw(k, core.Unit{}) }, id)
+	s.Reschedule(resume(k), id)
 }
 
 // Dispatch transfers control to some ready thread, or releases the calling
@@ -269,13 +263,19 @@ func (s *System) RescheduleCont(k *core.UnitCont, id int) {
 // Dispatch is also a revocation safe point: if the OS has reduced the
 // physical-processor allowance (§3.1), the proc is released here and the
 // queued work is left for the survivors.
-func (s *System) Dispatch() { s.dispatch(proc.Current()) }
+func (s *System) Dispatch() {
+	s.dispatch(proc.Current())
+	cont.Exit() // the caller may be at any depth: unwind it
+}
 
-// dispatch is Dispatch with the calling proc already resolved: every
-// per-proc counter and queue below shards by its id, so the (goroutine-
-// local) lookup happens exactly once per scheduler operation.  Both
-// ways out of the loop are the platform's decision, not a check here
-// followed by a release there.
+// dispatch is Dispatch for a caller in tail position on its carrier —
+// the package's own Fork, Yield and proc roots — and with the calling
+// proc already resolved: every per-proc counter and queue below shards by
+// its id, so the (goroutine-local) lookup happens exactly once per
+// scheduler operation.  It returns once the proc has been handed to a
+// ready thread, to a caller that must do nothing more than return.  The
+// two other ways out of the loop are the platform's decision, not a check
+// here followed by a release there, and those unwind.
 func (s *System) dispatch(p *proc.Proc) {
 	self := p.ID()
 	s.m.dispatches.Inc(self)
@@ -285,7 +285,8 @@ func (s *System) dispatch(p *proc.Proc) {
 			p.SetDatum(e.ID)
 			s.tracer.Emit(self, s.evDispatch, int64(e.ID))
 			e.Run()
-			panic("threads: Entry.Run returned")
+			mustHaveLeft(s.pl)
+			return
 		}
 		s.pl.ReleaseUnless(p, s.pending)
 	}
