@@ -62,10 +62,10 @@ type World struct {
 	generation uint64
 	genAtomic  atomic.Uint64 // lock-free mirror of generation, for unlocked helper spins
 	gcs        int
-	sequential bool          // ablation: one proc collects, the rest wait
-	yield      func()        // how barrier waiters idle (green-thread systems install sys.Yield)
-	now        func() int64  // tick source for pause accounting (virtual in tests)
-	stopStart  int64         // tick when the current stop was requested
+	sequential bool         // ablation: one proc collects, the rest wait
+	yield      func()       // how barrier waiters idle (green-thread systems install sys.Yield)
+	now        func() int64 // tick source for pause accounting (virtual in tests)
+	stopStart  int64        // tick when the current stop was requested
 	bound      map[uint64]*Alloc
 
 	plan atomic.Pointer[mlheap.Collection] // active parallel plan, for lock-free Help
@@ -88,7 +88,10 @@ type World struct {
 	evGC   trace.EventID
 }
 
-// pauseBounds are in ticks — microseconds under the default clock.
+// pauseBounds are in ticks of World.now.  NewWorld's clock is wall
+// microseconds and only tests replace it (SetNow), so on the serving path
+// mlheap.gc_stop_ticks / gc_pause_ticks *are* microseconds and compare
+// directly with request latencies.
 var pauseBounds = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 25000}
 
 // NewWorld wraps a heap.  The heap's configured proc count bounds how

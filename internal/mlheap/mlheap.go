@@ -85,8 +85,14 @@ type Config struct {
 
 // Stats counts heap activity.  It is a merged view of the heap's
 // metrics registry (plus the LiveWords gauge).
+//
+// AllocatedWords is derived from the procs' bump pointers when a chunk is
+// retired (see ProcAlloc), never tallied per allocation: it is exact at
+// every chunk boundary, collection stop and ReleaseProcAlloc, and between
+// those lags the truth by at most one partly-filled chunk (ChunkWords, or
+// one oversized object) per registered proc.
 type Stats struct {
-	AllocatedWords int64 // total words ever allocated
+	AllocatedWords int64 // total words allocated, as of each proc's last chunk retirement
 	MinorGCs       int
 	MajorGCs       int
 	Escalations    int   // minor collections escalated to full
@@ -95,19 +101,19 @@ type Stats struct {
 	LiveWords      int64 // live words in the old generation after last GC
 }
 
-// heapMetrics caches the heap's counter handles.  allocWords is sharded
-// by proc-allocator index, which makes the bump-allocation fast path
-// accounting a private-line atomic add — the mutex the old Stats struct
-// took on *every* AllocRecord/AllocBytes serialized exactly the path §5
-// demands be synchronization free.
+// heapMetrics caches the heap's counter handles.  None of them is touched
+// per allocation: even an atomic add on a proc-private cache line is a
+// locked read-modify-write — a full barrier and ~20 cycles a cons cell —
+// on exactly the path §5 demands be synchronization free.  allocWords is
+// published by ProcAlloc.retire, once per chunk; the collection counters
+// are added once per collection from the collector's own tally.
 type heapMetrics struct {
 	allocWords  *metrics.Counter
 	steals      *metrics.Counter
 	minorGCs    *metrics.Counter
 	majorGCs    *metrics.Counter
 	copiedWords *metrics.Counter
-	escalations *metrics.Counter // minor collections escalated to full
-	recordSlots *metrics.Histogram
+	escalations *metrics.Counter   // minor collections escalated to full
 	parCopied   *metrics.Histogram // words copied per collector per parallel collection
 }
 
@@ -172,7 +178,6 @@ func New(cfg Config) *Heap {
 		majorGCs:    h.reg.Counter("mlheap.major_gcs"),
 		copiedWords: h.reg.Counter("mlheap.copied_words"),
 		escalations: h.reg.Counter("mlheap.gc_escalations"),
-		recordSlots: h.reg.Histogram("mlheap.record_slots", []int64{2, 4, 8, 16, 64, 256}),
 		parCopied: h.reg.Histogram("mlheap.par_copied_words",
 			[]int64{64, 256, 1024, 4096, 16384, 65536, 1 << 18, 1 << 20}),
 	}
@@ -188,7 +193,9 @@ func New(cfg Config) *Heap {
 }
 
 // Stats returns a merged snapshot of heap counters.  The counter reads
-// are lock-free; only the LiveWords gauge takes the heap mutex.
+// are lock-free; only the LiveWords gauge takes the heap mutex.  It reads
+// no proc's bump pointer, so it is safe (and -race clean) while procs
+// allocate; AllocatedWords carries the lag documented on Stats.
 func (h *Heap) Stats() Stats {
 	h.mu.Lock()
 	live := h.liveWords
@@ -212,11 +219,18 @@ func (h *Heap) Metrics() *metrics.Registry { return h.reg }
 // appends here with no synchronization at all — the paper's requirement
 // that the allocation-adjacent fast paths be synchronization-free — and
 // the buffer is drained into the collection's root set at the stop.
+//
+// Allocation inside a chunk is compare, bump, store header, store slots:
+// it writes no word outside the chunk and this struct.  The words it
+// allocated are accounted when the chunk is retired — replaced by refill
+// (or found unreplaceable: region exhausted), zeroed by a collection's
+// resetNursery, or handed back by ReleaseProcAlloc — as cur − mark.
 type ProcAlloc struct {
 	h          *Heap
 	idx        int // allocator index: the proc's metrics shard
 	cur, limit uint64
-	share      int // chunks this proc may take before refills count as steals
+	mark       uint64 // cur at the last retirement: [mark, cur) is not yet in alloc_words
+	share      int    // chunks this proc may take before refills count as steals
 	taken      int
 	stores     []store // private store buffer, drained at collection time
 }
@@ -260,9 +274,12 @@ func (h *Heap) TryNewProcAlloc() *ProcAlloc {
 // global list so barrier entries recorded by the departing proc are not
 // lost; its unexhausted nursery chunk stays with the slot and is resumed
 // by the next taker (or reclaimed at the next collection's redivide).
+// The words allocated in that chunk so far are accounted here, so the
+// resuming taker starts from a clean mark and counts only its own.
 func (h *Heap) ReleaseProcAlloc(pa *ProcAlloc) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	pa.retire()
 	if len(pa.stores) > 0 {
 		h.stores = append(h.stores, pa.stores...)
 		pa.stores = pa.stores[:0]
@@ -270,13 +287,24 @@ func (h *Heap) ReleaseProcAlloc(pa *ProcAlloc) {
 	h.free = append(h.free, pa)
 }
 
-// refill takes the next chunk from the shared region; refills past the
-// proc's initial share are accounted as steals of other procs' spare
-// memory.
+// retire publishes the words allocated since the last retirement to the
+// proc's alloc_words shard.  Callers either are the owning proc or hold
+// it stopped (collection stop, release), so cur is read without a race.
+func (pa *ProcAlloc) retire() {
+	pa.h.m.allocWords.Add(pa.idx, int64(pa.cur-pa.mark))
+	pa.mark = pa.cur
+}
+
+// refill retires the current chunk and takes the next one from the shared
+// region; refills past the proc's initial share are accounted as steals
+// of other procs' spare memory.  The retirement happens even when the
+// region is exhausted, so alloc_words is exact once every proc has seen
+// ErrNeedGC.
 func (pa *ProcAlloc) refill(need int) bool {
 	h := pa.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	pa.retire()
 	chunk := uint64(h.cfg.ChunkWords)
 	if uint64(need) > chunk {
 		chunk = uint64(need)
@@ -284,7 +312,7 @@ func (pa *ProcAlloc) refill(need int) bool {
 	if h.nextChunk+chunk > h.nurHi {
 		return false
 	}
-	pa.cur = h.nextChunk
+	pa.cur, pa.mark = h.nextChunk, h.nextChunk
 	pa.limit = h.nextChunk + chunk
 	h.nextChunk += chunk
 	pa.taken++
@@ -312,8 +340,6 @@ func (pa *ProcAlloc) AllocRecord(slots ...Value) (Value, error) {
 	for i, s := range slots {
 		h.words[idx+1+uint64(i)] = uint64(s)
 	}
-	h.m.allocWords.Add(pa.idx, int64(need))
-	h.m.recordSlots.Observe(pa.idx, int64(len(slots)))
 	return ptrTo(idx), nil
 }
 
@@ -345,7 +371,6 @@ func (pa *ProcAlloc) AllocBytes(data []byte) (Value, error) {
 		}
 		h.words[idx+2+uint64(i)] = w
 	}
-	h.m.allocWords.Add(pa.idx, int64(need))
 	return ptrTo(idx), nil
 }
 
@@ -504,8 +529,8 @@ func (h *Heap) minorCapacityShort() bool {
 // set, so the overflow panic in forwardMinor is an invariant assertion,
 // not a reachable failure.
 func (h *Heap) minor(roots []*Value) {
-	before := h.m.copiedWords.Value()
-	scan := h.oldTop
+	base := h.oldTop
+	scan := base
 	// Roots: client roots plus store-list entries.
 	for _, r := range roots {
 		*r = h.forwardMinor(*r)
@@ -528,15 +553,24 @@ func (h *Heap) minor(roots []*Value) {
 		scan += 1 + n
 	}
 	h.resetNursery()
-	h.liveAcct += h.m.copiedWords.Value() - before
+	// The sequential collectors pack to-space tightly, so a pass copied
+	// exactly the words its to-space pointer advanced: one add per
+	// collection, none per object.
+	copied := int64(h.oldTop - base)
+	h.m.copiedWords.Add(0, copied)
+	h.liveAcct += copied
 	h.m.minorGCs.Inc(0)
 }
 
-// resetNursery redivides the allocation region after a collection.
+// resetNursery redivides the allocation region after a collection,
+// retiring every proc's chunk first so the words allocated since its last
+// refill reach alloc_words before cur is zeroed.  Runs under the stop:
+// the clean-point barrier orders each proc's last bump before these reads.
 func (h *Heap) resetNursery() {
 	h.nextChunk = h.nurLo
 	for _, pa := range h.allocs {
-		pa.cur, pa.limit, pa.taken = 0, 0, 0
+		pa.retire()
+		pa.cur, pa.mark, pa.limit, pa.taken = 0, 0, 0, 0
 	}
 }
 
@@ -560,14 +594,12 @@ func (h *Heap) forwardMinor(v Value) Value {
 	copy(h.words[dst+1:dst+1+n], h.words[a+1:a+1+n])
 	h.oldTop = dst + 1 + n
 	h.words[a] = dst<<2 | hdrForward
-	h.m.copiedWords.Add(0, int64(1+n))
 	return ptrTo(dst)
 }
 
 // major copies the live old generation into the other semispace and swaps
 // spaces.
 func (h *Heap) major(roots []*Value) {
-	before := h.m.copiedWords.Value()
 	dstLo := h.toLo
 	dstHi := dstLo + uint64(h.cfg.SemiWords)
 	top := dstLo
@@ -590,7 +622,6 @@ func (h *Heap) major(roots []*Value) {
 		copy(h.words[dst+1:dst+1+n], h.words[a+1:a+1+n])
 		top = dst + 1 + n
 		h.words[a] = dst<<2 | hdrForward
-		h.m.copiedWords.Add(0, int64(1+n))
 		return ptrTo(dst)
 	}
 	scan := dstLo
@@ -608,7 +639,8 @@ func (h *Heap) major(roots []*Value) {
 		scan += 1 + n
 	}
 	h.swapSemis(top)
-	h.liveAcct = h.m.copiedWords.Value() - before
+	h.liveAcct = int64(top - dstLo)
+	h.m.copiedWords.Add(0, h.liveAcct)
 	h.m.majorGCs.Inc(0)
 }
 
@@ -626,7 +658,6 @@ func (h *Heap) swapSemis(top uint64) {
 // edge.  A full collection does both generations' work, so it counts as
 // one minor and one major, plus an escalation.
 func (h *Heap) full(roots []*Value) {
-	before := h.m.copiedWords.Value()
 	dstLo := h.toLo
 	dstHi := dstLo + uint64(h.cfg.SemiWords)
 	top := dstLo
@@ -652,7 +683,6 @@ func (h *Heap) full(roots []*Value) {
 		copy(h.words[dst+1:dst+1+n], h.words[a+1:a+1+n])
 		top = dst + 1 + n
 		h.words[a] = dst<<2 | hdrForward
-		h.m.copiedWords.Add(0, int64(1+n))
 		return ptrTo(dst)
 	}
 	scan := dstLo
@@ -672,7 +702,8 @@ func (h *Heap) full(roots []*Value) {
 	h.stores = h.stores[:0]
 	h.swapSemis(top)
 	h.resetNursery()
-	h.liveAcct = h.m.copiedWords.Value() - before
+	h.liveAcct = int64(top - dstLo)
+	h.m.copiedWords.Add(0, h.liveAcct)
 	h.m.minorGCs.Inc(0)
 	h.m.majorGCs.Inc(0)
 	h.m.escalations.Inc(0)

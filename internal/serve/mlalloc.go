@@ -14,6 +14,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/gcsync"
@@ -155,9 +156,25 @@ func (srv *Server) handleMLAlloc(req *Request) Response {
 
 	return Response{
 		Status: 200,
-		Body: fmt.Appendf(nil, "mlalloc n=%d cells=%d sum=%d fold=%d gcs=%d\n",
-			n, cells, sum, fold, srv.mlWorld.GCs()),
+		Body:   appendMLAllocReply(make([]byte, 0, mlReplyCap), n, cells, sum, fold, srv.mlWorld.GCs()),
 	}
+}
+
+// mlReplyCap holds the longest reply appendMLAllocReply can render (34
+// bytes of labels, two counts of at most 5 digits and three int64s of at
+// most 20), so the body is a single allocation.
+const mlReplyCap = 104
+
+// appendMLAllocReply renders the reply line — byte for byte what
+// fmt.Sprintf("mlalloc n=%d cells=%d sum=%d fold=%d gcs=%d\n", …) gives,
+// which is what load generators Sscanf — without fmt's reflection walk.
+func appendMLAllocReply(dst []byte, n, cells int, sum, fold int64, gcs int) []byte {
+	dst = strconv.AppendInt(append(dst, "mlalloc n="...), int64(n), 10)
+	dst = strconv.AppendInt(append(dst, " cells="...), int64(cells), 10)
+	dst = strconv.AppendInt(append(dst, " sum="...), sum, 10)
+	dst = strconv.AppendInt(append(dst, " fold="...), fold, 10)
+	dst = strconv.AppendInt(append(dst, " gcs="...), int64(gcs), 10)
+	return append(dst, '\n')
 }
 
 // MLStatsLine renders the world's GC state for /fabricz-style status

@@ -6,6 +6,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +63,12 @@ func TestMLAllocEndToEnd(t *testing.T) {
 
 	if world.GCs() == 0 {
 		t.Fatal("serving load performed no collections")
+	}
+	// Every handler detached before its reply was written, so no chunk is
+	// in flight and the derived counter is exact: 3 words a cell plus the
+	// boot registry record.
+	if got, want := world.Heap().Stats().AllocatedWords, int64(clients*reqs*3000*3+1+mlSharedSlots); !t.Failed() && got != want {
+		t.Errorf("alloc_words = %d after %d drained requests, want exactly %d", got, clients*reqs, want)
 	}
 	st, _, body, err := doReq(ts.addr(), "GET", "/metrics", nil, 10*time.Second)
 	if err != nil || st != 200 {
@@ -151,5 +158,30 @@ func TestMLAllocFoldSurvivesCollections(t *testing.T) {
 	}
 	if gcs := world.GCs(); gcs < clients*reqs {
 		t.Fatalf("only %d collections over %d requests: the heap is not tight enough to collect mid-fold", gcs, clients*reqs)
+	}
+}
+
+// TestMLAllocReplyMatchesSprintf pins the strconv-built reply line to the
+// fmt form load generators Sscanf, and the sized body to one allocation.
+func TestMLAllocReplyMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		n, cells  int
+		sum, fold int64
+		gcs       int
+	}{
+		{1, 1, 1, 1, 0},
+		{511, 511, 511*3 + 130305, 130305 + 511*3, 23},
+		{mlMaxCells, mlMaxCells, math.MaxInt64, math.MaxInt64, math.MaxInt},
+		{511, 511, -7*511 + 130305 - 1, -7*511 + 130305, 4_000_000_000},
+		{mlMaxCells, mlMaxCells, math.MinInt64, math.MinInt64, math.MaxInt},
+	} {
+		want := fmt.Sprintf("mlalloc n=%d cells=%d sum=%d fold=%d gcs=%d\n", c.n, c.cells, c.sum, c.fold, c.gcs)
+		got := appendMLAllocReply(make([]byte, 0, mlReplyCap), c.n, c.cells, c.sum, c.fold, c.gcs)
+		if string(got) != want {
+			t.Errorf("reply %q, want %q", got, want)
+		}
+		if cap(got) != mlReplyCap {
+			t.Errorf("reply of %d bytes outgrew mlReplyCap=%d", len(got), mlReplyCap)
+		}
 	}
 }
