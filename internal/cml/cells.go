@@ -21,7 +21,7 @@ func NewIVar[T any]() *IVar[T] {
 
 // Put writes the IVar exactly once and wakes every parked reader; a second
 // Put panics, as iPut raises Put in CML.
-func (iv *IVar[T]) Put(s Scheduler, v T) {
+func (iv *IVar[T]) Put(s core.Scheduler, v T) {
 	iv.lk.Lock()
 	if iv.full {
 		iv.lk.Unlock()
@@ -52,17 +52,17 @@ type ivarReadEvt[T any] struct{ iv *IVar[T] }
 // ReadEvt returns the event of reading the IVar (CML: iGetEvt).
 func (iv *IVar[T]) ReadEvt() Event[T] { return ivarReadEvt[T]{iv} }
 
-func (e ivarReadEvt[T]) force(Scheduler) Event[T] { return e }
-func (e ivarReadEvt[T]) selectable() bool         { return true }
+func (e ivarReadEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e ivarReadEvt[T]) selectable() bool              { return true }
 
-func (e ivarReadEvt[T]) poll(Scheduler) (T, bool) {
+func (e ivarReadEvt[T]) poll(core.Scheduler) (T, bool) {
 	e.iv.lk.Lock()
 	full, v := e.iv.full, e.iv.val
 	e.iv.lk.Unlock()
 	return v, full
 }
 
-func (e ivarReadEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e ivarReadEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	iv := e.iv
 	iv.lk.Lock()
 	if iv.full {
@@ -80,7 +80,7 @@ func (e ivarReadEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
 }
 
 // Read synchronizes on ReadEvt.
-func (iv *IVar[T]) Read(s Scheduler) T { return Sync(s, iv.ReadEvt()) }
+func (iv *IVar[T]) Read(s core.Scheduler) T { return Sync(s, iv.ReadEvt()) }
 
 // MVar is a single-slot synchronizing cell with destructive take (CML:
 // mvar).
@@ -98,7 +98,7 @@ func NewMVar[T any]() *MVar[T] {
 
 // Put fills the MVar, handing the value directly to a parked taker if one
 // exists.  Filling a full MVar panics, as mPut raises Put in CML.
-func (mv *MVar[T]) Put(s Scheduler, v T) {
+func (mv *MVar[T]) Put(s core.Scheduler, v T) {
 	mv.lk.Lock()
 	if mv.full {
 		mv.lk.Unlock()
@@ -128,10 +128,10 @@ type mvarTakeEvt[T any] struct{ mv *MVar[T] }
 // (CML: mTakeEvt).
 func (mv *MVar[T]) TakeEvt() Event[T] { return mvarTakeEvt[T]{mv} }
 
-func (e mvarTakeEvt[T]) force(Scheduler) Event[T] { return e }
-func (e mvarTakeEvt[T]) selectable() bool         { return true }
+func (e mvarTakeEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e mvarTakeEvt[T]) selectable() bool              { return true }
 
-func (e mvarTakeEvt[T]) poll(Scheduler) (T, bool) {
+func (e mvarTakeEvt[T]) poll(core.Scheduler) (T, bool) {
 	mv := e.mv
 	mv.lk.Lock()
 	if !mv.full {
@@ -146,7 +146,7 @@ func (e mvarTakeEvt[T]) poll(Scheduler) (T, bool) {
 	return v, true
 }
 
-func (e mvarTakeEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e mvarTakeEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	mv := e.mv
 	mv.lk.Lock()
 	if mv.full {
@@ -166,7 +166,7 @@ func (e mvarTakeEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
 }
 
 // Take synchronizes on TakeEvt.
-func (mv *MVar[T]) Take(s Scheduler) T { return Sync(s, mv.TakeEvt()) }
+func (mv *MVar[T]) Take(s core.Scheduler) T { return Sync(s, mv.TakeEvt()) }
 
 // Mailbox is an unbounded buffered channel (CML: mailbox): sends never
 // block; receives are selectable events.
@@ -186,7 +186,7 @@ func NewMailbox[T any]() *Mailbox[T] {
 }
 
 // Send deposits v without blocking (CML: send for mailboxes).
-func (mb *Mailbox[T]) Send(s Scheduler, v T) {
+func (mb *Mailbox[T]) Send(s core.Scheduler, v T) {
 	mb.lk.Lock()
 	for {
 		r, err := mb.waiters.Deq()
@@ -209,10 +209,10 @@ type mbRecvEvt[T any] struct{ mb *Mailbox[T] }
 // for mailboxes).
 func (mb *Mailbox[T]) RecvEvt() Event[T] { return mbRecvEvt[T]{mb} }
 
-func (e mbRecvEvt[T]) force(Scheduler) Event[T] { return e }
-func (e mbRecvEvt[T]) selectable() bool         { return true }
+func (e mbRecvEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e mbRecvEvt[T]) selectable() bool              { return true }
 
-func (e mbRecvEvt[T]) poll(Scheduler) (T, bool) {
+func (e mbRecvEvt[T]) poll(core.Scheduler) (T, bool) {
 	mb := e.mb
 	mb.lk.Lock()
 	v, err := mb.buf.Deq()
@@ -220,7 +220,7 @@ func (e mbRecvEvt[T]) poll(Scheduler) (T, bool) {
 	return v, err == nil
 }
 
-func (e mbRecvEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e mbRecvEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	mb := e.mb
 	mb.lk.Lock()
 	if v, err := mb.buf.Deq(); err == nil {
@@ -238,4 +238,4 @@ func (e mbRecvEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
 }
 
 // Recv synchronizes on RecvEvt.
-func (mb *Mailbox[T]) Recv(s Scheduler) T { return Sync(s, mb.RecvEvt()) }
+func (mb *Mailbox[T]) Recv(s core.Scheduler) T { return Sync(s, mb.RecvEvt()) }

@@ -46,7 +46,7 @@ func (c *Clock) Now() int64 {
 // Advance moves the clock forward by d ticks and fires every due timeout
 // event (waiters whose choices already committed elsewhere are
 // discarded, per the Fig. 5 protocol).
-func (c *Clock) Advance(s Scheduler, d int64) {
+func (c *Clock) Advance(s core.Scheduler, d int64) {
 	if d < 0 {
 		panic("cml: clock cannot run backwards")
 	}
@@ -98,17 +98,17 @@ func (c *Clock) AfterEvt(d int64) Event[int64] {
 	return Guard(func() Event[int64] { return c.AtEvt(c.Now() + d) })
 }
 
-func (e atEvt) force(Scheduler) Event[int64] { return e }
-func (e atEvt) selectable() bool             { return true }
+func (e atEvt) force(core.Scheduler) Event[int64] { return e }
+func (e atEvt) selectable() bool                  { return true }
 
-func (e atEvt) poll(Scheduler) (int64, bool) {
+func (e atEvt) poll(core.Scheduler) (int64, bool) {
 	e.c.lk.Lock()
 	now := e.c.now
 	e.c.lk.Unlock()
 	return now, now >= e.deadline
 }
 
-func (e atEvt) block(s Scheduler, w commitRef[int64]) blockRes[int64] {
+func (e atEvt) block(s core.Scheduler, w commitRef[int64]) blockRes[int64] {
 	c := e.c
 	c.lk.Lock()
 	if c.now >= e.deadline {

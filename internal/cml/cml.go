@@ -45,14 +45,6 @@ var (
 	mAborts  = metrics.Default.Counter("cml.aborted_polls")
 )
 
-// Scheduler is the slice of the thread package the protocol needs;
-// threads.System implements it.
-type Scheduler interface {
-	Reschedule(run func(), id int)
-	Dispatch()
-	ID() int
-}
-
 // commitRef identifies one syncing thread during its block phase: the
 // shared committed lock, the thread id, and a resume hook that reschedules
 // the thread's continuation with the event result.
@@ -79,20 +71,20 @@ type blockRes[T any] struct {
 // synchronized.
 type Event[T any] interface {
 	// force evaluates Guard thunks, yielding a guard-free event.
-	force(s Scheduler) Event[T]
+	force(s core.Scheduler) Event[T]
 	// poll attempts an immediate commit on behalf of a running thread.
-	poll(s Scheduler) (T, bool)
+	poll(s core.Scheduler) (T, bool)
 	// block registers the syncing thread on the event's wait queues.
-	block(s Scheduler, w commitRef[T]) blockRes[T]
+	block(s core.Scheduler, w commitRef[T]) blockRes[T]
 	// selectable reports whether the event may appear under Choose.
 	selectable() bool
 }
 
-// cachedID wraps a Scheduler so the repeated ID lookups inside one Sync
+// cachedID wraps a core.Scheduler so the repeated ID lookups inside one Sync
 // (metric shards, wait-queue entries) resolve to a single goroutine-local
 // read done at Sync entry.
 type cachedID struct {
-	Scheduler
+	core.Scheduler
 	id int
 }
 
@@ -100,7 +92,7 @@ func (c cachedID) ID() int { return c.id }
 
 // Sync synchronizes on an event, blocking the calling thread until the
 // event commits, and returns the event's result (CML: sync).
-func Sync[T any](s Scheduler, ev Event[T]) T {
+func Sync[T any](s core.Scheduler, ev Event[T]) T {
 	self := s.ID()
 	mSyncs.Inc(self)
 	cs := cachedID{Scheduler: s, id: self}
@@ -109,30 +101,26 @@ func Sync[T any](s Scheduler, ev Event[T]) T {
 		mCommits.Inc(self)
 		return v
 	}
-	return cont.Callcc(func(k *cont.Cont[T]) T {
+	return cont.Callcc(func(k *cont.Cont[T]) (none T) {
 		w := commitRef[T]{id: self}
 		if ev.selectable() {
 			w.committed = core.NewMutexLock()
 		}
-		w.resume = func(v T) {
-			s.Reschedule(func() { cont.Throw(k, v) }, w.id)
-		}
+		w.resume = func(v T) { s.Reschedule(core.Ready(k, v), w.id) }
 		r := ev.block(cs, w)
-		switch r.kind {
-		case committedNow:
+		if r.kind == committedNow {
 			mCommits.Inc(self)
 			return r.val // implicit throw to k
-		default:
-			// Parked, or already committed by a partner: either way the
-			// continuation k is (or will be) scheduled by someone else.
-			s.Dispatch()
-			panic("cml: Dispatch returned")
 		}
+		// Parked, or already committed by a partner: either way the
+		// continuation k is (or will be) scheduled by someone else.
+		s.Dispatch()
+		return none // to the carrier: Dispatch handed the proc on
 	})
 }
 
 // Select synchronizes on the choice of the given events (CML: select).
-func Select[T any](s Scheduler, evs ...Event[T]) T {
+func Select[T any](s core.Scheduler, evs ...Event[T]) T {
 	return Sync(s, Choose(evs...))
 }
 
@@ -144,10 +132,10 @@ type alwaysEvt[T any] struct{ v T }
 // alwaysEvt).
 func Always[T any](v T) Event[T] { return alwaysEvt[T]{v} }
 
-func (e alwaysEvt[T]) force(Scheduler) Event[T] { return e }
-func (e alwaysEvt[T]) poll(Scheduler) (T, bool) { return e.v, true }
-func (e alwaysEvt[T]) selectable() bool         { return true }
-func (e alwaysEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e alwaysEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e alwaysEvt[T]) poll(core.Scheduler) (T, bool) { return e.v, true }
+func (e alwaysEvt[T]) selectable() bool              { return true }
+func (e alwaysEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	if w.committed == nil || w.committed.TryLock() {
 		return blockRes[T]{kind: committedNow, val: e.v}
 	}
@@ -161,13 +149,15 @@ type neverEvt[T any] struct{}
 // Never returns an event that is never ready (CML: neverEvt).
 func Never[T any]() Event[T] { return neverEvt[T]{} }
 
-func (e neverEvt[T]) force(Scheduler) Event[T] { return e }
-func (e neverEvt[T]) poll(Scheduler) (T, bool) {
+func (e neverEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e neverEvt[T]) poll(core.Scheduler) (T, bool) {
 	var zero T
 	return zero, false
 }
-func (e neverEvt[T]) selectable() bool                          { return true }
-func (e neverEvt[T]) block(Scheduler, commitRef[T]) blockRes[T] { return blockRes[T]{kind: parked} }
+func (e neverEvt[T]) selectable() bool { return true }
+func (e neverEvt[T]) block(core.Scheduler, commitRef[T]) blockRes[T] {
+	return blockRes[T]{kind: parked}
+}
 
 // ------------------------------------------------------------------ wrap
 
@@ -181,11 +171,11 @@ func Wrap[A, B any](ev Event[A], f func(A) B) Event[B] {
 	return wrapEvt[A, B]{inner: ev, f: f}
 }
 
-func (e wrapEvt[A, B]) force(s Scheduler) Event[B] {
+func (e wrapEvt[A, B]) force(s core.Scheduler) Event[B] {
 	return wrapEvt[A, B]{inner: e.inner.force(s), f: e.f}
 }
 
-func (e wrapEvt[A, B]) poll(s Scheduler) (B, bool) {
+func (e wrapEvt[A, B]) poll(s core.Scheduler) (B, bool) {
 	if a, ok := e.inner.poll(s); ok {
 		return e.f(a), true
 	}
@@ -195,7 +185,7 @@ func (e wrapEvt[A, B]) poll(s Scheduler) (B, bool) {
 
 func (e wrapEvt[A, B]) selectable() bool { return e.inner.selectable() }
 
-func (e wrapEvt[A, B]) block(s Scheduler, w commitRef[B]) blockRes[B] {
+func (e wrapEvt[A, B]) block(s core.Scheduler, w commitRef[B]) blockRes[B] {
 	inner := commitRef[A]{
 		committed: w.committed,
 		id:        w.id,
@@ -217,10 +207,10 @@ type guardEvt[T any] struct{ g func() Event[T] }
 // (CML: guard).
 func Guard[T any](g func() Event[T]) Event[T] { return guardEvt[T]{g} }
 
-func (e guardEvt[T]) force(s Scheduler) Event[T] { return e.g().force(s) }
-func (e guardEvt[T]) poll(s Scheduler) (T, bool) { return e.force(s).poll(s) }
-func (e guardEvt[T]) selectable() bool           { return true }
-func (e guardEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e guardEvt[T]) force(s core.Scheduler) Event[T] { return e.g().force(s) }
+func (e guardEvt[T]) poll(s core.Scheduler) (T, bool) { return e.force(s).poll(s) }
+func (e guardEvt[T]) selectable() bool                { return true }
+func (e guardEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	return e.force(s).block(s, w)
 }
 
@@ -234,7 +224,7 @@ func Choose[T any](evs ...Event[T]) Event[T] {
 	return chooseEvt[T]{evs: evs}
 }
 
-func (e chooseEvt[T]) force(s Scheduler) Event[T] {
+func (e chooseEvt[T]) force(s core.Scheduler) Event[T] {
 	out := make([]Event[T], len(e.evs))
 	for i, ev := range e.evs {
 		out[i] = ev.force(s)
@@ -255,7 +245,7 @@ func (e chooseEvt[T]) selectable() bool {
 	return true
 }
 
-func (e chooseEvt[T]) poll(s Scheduler) (T, bool) {
+func (e chooseEvt[T]) poll(s core.Scheduler) (T, bool) {
 	for _, i := range rand.Perm(len(e.evs)) {
 		if v, ok := e.evs[i].poll(s); ok {
 			return v, true
@@ -265,7 +255,7 @@ func (e chooseEvt[T]) poll(s Scheduler) (T, bool) {
 	return zero, false
 }
 
-func (e chooseEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e chooseEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	if !e.selectable() {
 		panic("cml: send events cannot appear under Choose in this prototype" +
 			" (the Fig. 5 protocol supports receive-side choice; see package doc)")
@@ -315,10 +305,10 @@ type recvEvt[T any] struct{ ch *Chan[T] }
 // RecvEvt returns the event of receiving a value from ch (CML: recvEvt).
 func (ch *Chan[T]) RecvEvt() Event[T] { return recvEvt[T]{ch} }
 
-func (e recvEvt[T]) force(Scheduler) Event[T] { return e }
-func (e recvEvt[T]) selectable() bool         { return true }
+func (e recvEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e recvEvt[T]) selectable() bool              { return true }
 
-func (e recvEvt[T]) poll(s Scheduler) (T, bool) {
+func (e recvEvt[T]) poll(s core.Scheduler) (T, bool) {
 	mRecvs.Inc(s.ID())
 	ch := e.ch
 	ch.lk.Lock()
@@ -334,7 +324,7 @@ func (e recvEvt[T]) poll(s Scheduler) (T, bool) {
 	return snd.val, true
 }
 
-func (e recvEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e recvEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	ch := e.ch
 	ch.lk.Lock()
 	if snd, err := ch.sndrs.Deq(); err == nil {
@@ -363,10 +353,10 @@ type sendEvt[T any] struct {
 // synchronized alone but not combined under Choose; see the package doc.
 func (ch *Chan[T]) SendEvt(v T) Event[core.Unit] { return sendEvt[T]{ch, v} }
 
-func (e sendEvt[T]) force(Scheduler) Event[core.Unit] { return e }
-func (e sendEvt[T]) selectable() bool                 { return false }
+func (e sendEvt[T]) force(core.Scheduler) Event[core.Unit] { return e }
+func (e sendEvt[T]) selectable() bool                      { return false }
 
-func (e sendEvt[T]) poll(s Scheduler) (core.Unit, bool) {
+func (e sendEvt[T]) poll(s core.Scheduler) (core.Unit, bool) {
 	self := s.ID()
 	mSends.Inc(self)
 	ch := e.ch
@@ -387,7 +377,7 @@ func (e sendEvt[T]) poll(s Scheduler) (core.Unit, bool) {
 	}
 }
 
-func (e sendEvt[T]) block(s Scheduler, w commitRef[core.Unit]) blockRes[core.Unit] {
+func (e sendEvt[T]) block(s core.Scheduler, w commitRef[core.Unit]) blockRes[core.Unit] {
 	ch := e.ch
 	ch.lk.Lock()
 	for {
@@ -409,11 +399,11 @@ func (e sendEvt[T]) block(s Scheduler, w commitRef[core.Unit]) blockRes[core.Uni
 }
 
 // Send sends v on the channel, blocking until it is received (CML: send).
-func (ch *Chan[T]) Send(s Scheduler, v T) { Sync(s, ch.SendEvt(v)) }
+func (ch *Chan[T]) Send(s core.Scheduler, v T) { Sync(s, ch.SendEvt(v)) }
 
 // Recv receives a value from the channel, blocking until one is sent
 // (CML: recv).
-func (ch *Chan[T]) Recv(s Scheduler) T { return Sync(s, ch.RecvEvt()) }
+func (ch *Chan[T]) Recv(s core.Scheduler) T { return Sync(s, ch.RecvEvt()) }
 
 // Spawn forks a new CML thread (CML: spawn).
 func Spawn(s interface{ Fork(func()) }, f func()) { s.Fork(f) }

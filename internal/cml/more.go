@@ -31,7 +31,7 @@ func NewSwapChan[T any]() *SwapChan[T] {
 
 // Swap offers v and blocks until a partner arrives; it returns the
 // partner's value, and the partner receives v.
-func (sc *SwapChan[T]) Swap(s Scheduler, v T) T {
+func (sc *SwapChan[T]) Swap(s core.Scheduler, v T) T {
 	return Sync(s, swapEvt[T]{sc: sc, v: v})
 }
 
@@ -44,10 +44,10 @@ type swapEvt[T any] struct {
 	v  T
 }
 
-func (e swapEvt[T]) force(Scheduler) Event[T] { return e }
-func (e swapEvt[T]) selectable() bool         { return false }
+func (e swapEvt[T]) force(core.Scheduler) Event[T] { return e }
+func (e swapEvt[T]) selectable() bool              { return false }
 
-func (e swapEvt[T]) poll(s Scheduler) (T, bool) {
+func (e swapEvt[T]) poll(s core.Scheduler) (T, bool) {
 	sc := e.sc
 	sc.lk.Lock()
 	if o, err := sc.offers.Deq(); err == nil {
@@ -60,7 +60,7 @@ func (e swapEvt[T]) poll(s Scheduler) (T, bool) {
 	return zero, false
 }
 
-func (e swapEvt[T]) block(s Scheduler, w commitRef[T]) blockRes[T] {
+func (e swapEvt[T]) block(s core.Scheduler, w commitRef[T]) blockRes[T] {
 	sc := e.sc
 	sc.lk.Lock()
 	if o, err := sc.offers.Deq(); err == nil {
@@ -95,7 +95,7 @@ func (mc *Multicast[T]) Port() *Mailbox[T] {
 }
 
 // Send delivers v to every port without blocking (ports buffer).
-func (mc *Multicast[T]) Send(s Scheduler, v T) {
+func (mc *Multicast[T]) Send(s core.Scheduler, v T) {
 	mc.lk.Lock()
 	ports := append([]*Mailbox[T](nil), mc.ports...)
 	mc.lk.Unlock()

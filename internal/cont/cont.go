@@ -38,6 +38,11 @@
 //     but return to its carrier; a Callcc body that comes back without its
 //     baton has transferred control and is not thrown for implicitly.
 //
+// Which of the two a caller uses is a rule: every scheduler transfer — a
+// dispatch, a wake-up's ready thunk, a proc's idle leave — returns, and
+// only client code unwinds: a Throw of its own, a thread's exit at
+// arbitrary depth, or release_proc (Exit).
+//
 // A goroutine parked in Callcc (or Suspend) whose continuation is never
 // thrown is leaked, and its carrier with it: it is mid-job and never
 // reaches the free list.  SML/NJ garbage-collects unreachable threads; Go

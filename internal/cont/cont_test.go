@@ -48,6 +48,31 @@ func TestCallccThrowFromBody(t *testing.T) {
 	})
 }
 
+// TestCallccBodyThatHandedItsBatonOnIsNotThrownFor: a body that hands its
+// baton to another continuation (Resume — a scheduler's dispatch) and then
+// returns has transferred control, and Callcc must not throw for it as
+// well.  The continuation handed to passes the baton straight back to the
+// body's own continuation with another value, so an implicit throw as
+// well would be a second resume, which panics, or the wrong value.
+func TestCallccBodyThatHandedItsBatonOnIsNotThrownFor(t *testing.T) {
+	other, mine := make(chan *Cont[Unit], 1), make(chan *Cont[int], 1)
+	go func() {
+		Suspend(func(k *Cont[Unit]) { other <- k })
+		Resume(<-mine, 2)
+	}()
+	withBaton(t, func() {
+		o := <-other
+		v := Callcc(func(k *Cont[int]) int {
+			mine <- k
+			Resume(o, Unit{})
+			return 1 // holds no baton: not an implicit throw
+		})
+		if v != 2 {
+			t.Errorf("Callcc = %d, want the 2 it was resumed with", v)
+		}
+	})
+}
+
 func TestThrowAcrossCaptures(t *testing.T) {
 	// Capture a continuation and throw to it from a nested continuation
 	// body — the cross-context control transfer at the heart of Fig. 3's

@@ -25,9 +25,13 @@
 // locks, semaphores, channels — see packages syncx, sel and cml) is
 // synthesized from mutex locks, shared variables, and continuations.
 //
-// The repository's clients (internal/threads, internal/sel, internal/cml,
-// internal/syncx) are built exclusively on this surface, which is the
-// paper's portability claim: port the platform, and every client follows.
+// The paper's portability claim is that clients are built on this surface
+// alone: port the platform, and every client follows.  The repository's
+// clients (internal/threads, internal/sel, internal/cml, internal/syncx,
+// and the serving packages above them) do not yet keep to it: 33 non-test
+// files under internal/ besides the platform's own import proc, cont or
+// spinlock directly, and what they take from core is its types, the lock
+// constructor, Scheduler and Ready.
 package core
 
 import (
@@ -74,6 +78,30 @@ func Callcc[T any](body func(k *cont.Cont[T]) T) T { return cont.Callcc(body) }
 
 // Throw invokes a captured continuation with a value; it never returns.
 func Throw[T any](k *cont.Cont[T], v T) { cont.Throw(k, v) }
+
+// Scheduler is the slice of a thread package that synchronization
+// clients (packages syncx, sel and cml) need: Fig. 5 calls reschedule,
+// dispatch and get_datum, nothing more.  threads.System implements it.
+//
+// Every transfer through it returns.  Reschedule queues run, which hands
+// the proc that dispatches it to a parked thread (normally a Ready thunk).
+// Dispatch hands the calling proc to a ready thread, or gives it up if
+// none is ready, and returns to a caller that then holds no proc: it must
+// make no MP call and has nothing left to do but return to its carrier —
+// typically by returning from the Callcc body it parked itself in.
+type Scheduler interface {
+	Reschedule(run func(), id int)
+	Dispatch()
+	ID() int
+}
+
+// Ready is the paper's reschedule_thread (Fig. 5): it binds v into the
+// parked continuation k and returns the thunk a ready queue holds for it.
+// Run by a dispatching proc, the thunk hands that proc to k and returns
+// (cont.Resume), so the dispatcher is not unwound.
+func Ready[T any](k *cont.Cont[T], v T) func() {
+	return func() { cont.Resume(k, v) }
+}
 
 // Lock is the paper's mutex_lock abstraction.
 type Lock = spinlock.Lock

@@ -262,9 +262,10 @@ func (pl *Platform) Acquire(ps PS) error {
 
 // AcquireFunc is Acquire for a continuation that is plain code rather
 // than a captured stack: the new proc executes f, which ends as every
-// proc's code does — in a throw or a Release.  A thread package starts
-// a proc on its dispatch loop this way when work is queued and a slot
-// is idle but no thread is at hand to be continued.
+// proc's code does — in a throw, a Release, or a return once it has
+// handed its proc on or given it up (a scheduler's Dispatch).  A thread
+// package starts a proc on its dispatch loop this way when work is
+// queued and a slot is idle but no thread is at hand to be continued.
 func (pl *Platform) AcquireFunc(f func(), datum any) error {
 	p, err := pl.acquire(datum)
 	if err == nil {
@@ -404,14 +405,17 @@ func (pl *Platform) settle() {
 }
 
 // ReleaseIfRevoked is the revocation safe point (§3.1) as one decision:
-// under the platform mutex, release p — never returning — exactly when
-// more tokens are out than the allowance permits.  Two procs reaching
-// safe points together therefore cannot both answer a revocation of
-// one, and since the allowance is at least one the last running proc
-// never leaves this way.  p must be the caller's proc.
-func (pl *Platform) ReleaseIfRevoked(p *Proc) {
+// under the platform mutex, release p exactly when more tokens are out
+// than the allowance permits, and report whether it did.  Two procs
+// reaching safe points together therefore cannot both answer a
+// revocation of one, and since the allowance is at least one the last
+// running proc never leaves this way.  p must be the caller's proc.
+// After a releasing return the caller holds no proc — its baton is
+// cleared, so a Callcc body it returns from is not thrown for — and,
+// like a scheduler's Dispatch, it must return to its carrier.
+func (pl *Platform) ReleaseIfRevoked(p *Proc) bool {
 	if pl.idle.Load() >= 0 {
-		return
+		return false
 	}
 	pl.mu.Lock()
 	over := pl.held() > pl.limit
@@ -420,31 +424,34 @@ func (pl *Platform) ReleaseIfRevoked(p *Proc) {
 	}
 	pl.mu.Unlock()
 	if over {
-		cont.Exit()
+		gls.Del()
 	}
+	return over
 }
 
 // ReleaseUnless is release_proc for a scheduler whose ready queue came
-// up empty: release p — never returning — unless pending reports that
-// work has been queued after all, in which case it returns and the
-// caller dispatches again.  pending runs under the platform mutex with
+// up empty: release p, and report true, unless pending reports that
+// work has been queued after all, in which case it reports false and the
+// caller dispatches again.  A releasing return leaves the caller as
+// ReleaseIfRevoked's does.  pending runs under the platform mutex with
 // the slot already published as idle, which closes the race with an
 // enqueue from outside (Idle, then Acquire): either pending sees that
 // enqueue, or the enqueuer sees the idle slot and blocks on the mutex
 // until this release is complete.  Hence Run returns exactly when all
 // procs have quiesced (§3.1) — the last one never leaves queued work
 // behind.  pending must only take leaf locks.  p must be the caller's.
-func (pl *Platform) ReleaseUnless(p *Proc, pending func() bool) {
+func (pl *Platform) ReleaseUnless(p *Proc, pending func() bool) bool {
 	pl.mu.Lock()
 	pl.idle.Add(1)
 	if pending() {
 		pl.idle.Add(-1)
 		pl.mu.Unlock()
-		return
+		return false
 	}
 	pl.leave(p)
 	pl.mu.Unlock()
-	cont.Exit()
+	gls.Del()
+	return true
 }
 
 // Block is release_proc for a holder that is coming back: the calling
@@ -536,7 +543,9 @@ func (pl *Platform) Holds() bool {
 // Run bootstraps the root proc executing root with the given initial
 // datum (paper: initial_datum) and blocks until the platform quiesces —
 // i.e. until every proc, including the root, has been released.  If root
-// returns normally, the proc it is then holding is released implicitly.
+// returns normally, the proc it is then holding, if any, is released
+// implicitly; a root that handed its proc on (a scheduler's Dispatch)
+// returns holding none.
 func (pl *Platform) Run(root func(), initialDatum any) {
 	if !pl.inRun.CompareAndSwap(false, true) {
 		panic("proc: Platform.Run is not reentrant")
@@ -562,7 +571,9 @@ func (pl *Platform) Run(root func(), initialDatum any) {
 		root()
 		// Release the proc held at return time: the root goroutine may
 		// have migrated to a different token since it started.
-		pl.release(Current())
+		if pl.Holds() {
+			pl.release(Current())
+		}
 	})
 	<-quiet
 }

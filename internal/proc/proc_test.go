@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cont"
+	"repro/internal/gls"
 	"repro/internal/trace"
 )
 
@@ -437,7 +438,10 @@ func TestForeignProcRefusalStaysOffTheTraceRings(t *testing.T) {
 
 // TestRevocationIsAnsweredExactlyOnce: four procs reach their safe point
 // together after the allowance shrinks to one.  Exactly three leave —
-// never all four, which the old check-then-release pair allowed.
+// never all four, which the old check-then-release pair allowed — and
+// each one's report says which it did: a proc that left and said it
+// stayed would count as staying, and one that stayed and said it left
+// would keep Run from returning.
 func TestRevocationIsAnsweredExactlyOnce(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		pl := New(4)
@@ -445,7 +449,9 @@ func TestRevocationIsAnsweredExactlyOnce(t *testing.T) {
 		start := make(chan struct{})
 		safePoint := func() {
 			<-start
-			pl.ReleaseIfRevoked(Current())
+			if pl.ReleaseIfRevoked(Current()) {
+				return
+			}
 			stayed.Add(1)
 			pl.Release()
 		}
@@ -473,18 +479,23 @@ func TestReleaseUnlessKeepsTheLastProcForQueuedWork(t *testing.T) {
 	var left atomic.Bool
 	pl.Run(func() {
 		p := Current()
-		pl.ReleaseUnless(p, func() bool { return true })
+		if pl.ReleaseUnless(p, func() bool { return true }) {
+			t.Fatal("ReleaseUnless released with work pending")
+		}
 		if pl.Live() != 1 || !pl.Idle() {
 			t.Errorf("after a refused leave: live %d idle %v, want 1 true (one of two slots free)", pl.Live(), pl.Idle())
 		}
 		pl.SetLimit(1)
-		pl.ReleaseUnless(p, func() bool { return true })
+		if pl.ReleaseUnless(p, func() bool { return true }) {
+			t.Fatal("ReleaseUnless released the last proc with work pending")
+		}
 		if pl.Idle() {
 			t.Error("a refused leave left the slot published as idle")
 		}
+		if !pl.ReleaseUnless(p, func() bool { return false }) {
+			t.Error("ReleaseUnless kept its proc with nothing pending")
+		}
 		left.Store(true)
-		pl.ReleaseUnless(p, func() bool { return false })
-		t.Error("ReleaseUnless returned with nothing pending")
 	}, nil)
 	if !left.Load() || pl.Live() != 0 {
 		t.Fatalf("left %v live %d, want the proc released", left.Load(), pl.Live())
@@ -527,5 +538,93 @@ func TestBlockUnblockRoundTrip(t *testing.T) {
 	}, nil)
 	if pl.Live() != 0 {
 		t.Fatalf("live = %d after Run", pl.Live())
+	}
+}
+
+// TestReleasingReturnLeavesNoBaton: after either leave decision reports
+// a release, the calling goroutine holds no proc at all — not the token
+// it just gave back, which a concurrent Acquire may already have handed
+// to somebody else.
+func TestReleasingReturnLeavesNoBaton(t *testing.T) {
+	for _, leave := range []struct {
+		name string
+		f    func(pl *Platform, p *Proc) bool
+	}{
+		{"ReleaseUnless", func(pl *Platform, p *Proc) bool {
+			return pl.ReleaseUnless(p, func() bool { return false })
+		}},
+		{"ReleaseIfRevoked", func(pl *Platform, p *Proc) bool { return pl.ReleaseIfRevoked(p) }},
+	} {
+		pl := New(2)
+		hold := make(chan struct{})
+		pl.Run(func() {
+			defer close(hold)
+			// A second proc keeps Run waiting while the first is checked,
+			// and puts two tokens out under an allowance of one.
+			if err := pl.AcquireFunc(func() { <-hold; pl.Release() }, nil); err != nil {
+				t.Errorf("%s: AcquireFunc: %v", leave.name, err)
+				return
+			}
+			pl.SetLimit(1)
+			if !leave.f(pl, Current()) {
+				t.Errorf("%s: reported no release", leave.name)
+				return
+			}
+			if b, held := gls.Get(); held {
+				t.Errorf("%s: the goroutine still holds baton %v after a releasing return", leave.name, b)
+			}
+		}, nil)
+	}
+}
+
+// TestCallccBodyThatGaveItsProcUpIsNotThrownFor: a Callcc body that
+// returns after its proc was given up — the idle leave of a scheduler's
+// Dispatch — is not taken for SML's implicit throw: its continuation
+// stays parked until somebody resumes it with a proc.
+func TestCallccBodyThatGaveItsProcUpIsNotThrownFor(t *testing.T) {
+	pl := New(1)
+	var parked *cont.Cont[cont.Unit]
+	resumedOn := -1
+	pl.Run(func() {
+		cont.Callcc(func(k *cont.Cont[cont.Unit]) cont.Unit {
+			parked = k
+			if !pl.ReleaseUnless(Current(), func() bool { return false }) {
+				t.Error("ReleaseUnless kept its proc with nothing pending")
+			}
+			return cont.Unit{}
+		})
+		resumedOn = Self()
+	}, nil)
+	if parked.Used() {
+		t.Fatal("the body's return threw its continuation")
+	}
+	// A fresh Run resumes it: the root's rest runs on the new root proc.
+	pl.Run(func() { cont.Throw(parked, cont.Unit{}) }, nil)
+	if resumedOn != 0 || pl.Live() != 0 {
+		t.Fatalf("resumed on proc %d, live %d after Run; want 0 and 0", resumedOn, pl.Live())
+	}
+}
+
+// TestRunRootThatHandedItsProcOnQuiesces: a root that hands its proc to a
+// parked continuation and returns holds no proc, so Run releases nothing
+// on its behalf and returns once the continuation releases the proc.
+func TestRunRootThatHandedItsProcOnQuiesces(t *testing.T) {
+	pl := New(1)
+	kch := make(chan *cont.Cont[cont.Unit], 1)
+	ranOn := make(chan int, 1)
+	go func() {
+		cont.Suspend(func(k *cont.Cont[cont.Unit]) { kch <- k })
+		ranOn <- Self()
+		if !pl.ReleaseUnless(Current(), func() bool { return false }) {
+			t.Error("ReleaseUnless kept its proc with nothing pending")
+		}
+	}()
+	k := <-kch
+	pl.Run(func() { cont.Resume(k, cont.Unit{}) }, nil)
+	if id := <-ranOn; id != 0 {
+		t.Errorf("the continuation ran on proc %d, want the root's 0", id)
+	}
+	if st := pl.Stats(); st.Released != 1 || pl.Live() != 0 {
+		t.Fatalf("released %d, live %d after Run; want 1 and 0", st.Released, pl.Live())
 	}
 }

@@ -38,19 +38,6 @@ var (
 	mAborts  = metrics.Default.Counter("sel.aborted_polls")
 )
 
-// Scheduler is the slice of the thread package that the protocol needs:
-// Fig. 5 calls reschedule, dispatch and Proc.get_datum, nothing more.
-// threads.System implements it.
-type Scheduler interface {
-	// Reschedule makes a ready continuation thunk runnable under a thread
-	// id; the thunk never returns.
-	Reschedule(run func(), id int)
-	// Dispatch transfers control to another ready thread; never returns.
-	Dispatch()
-	// ID returns the current thread's identifier.
-	ID() int
-}
-
 // sndr is a blocked sender's state: its continuation, thread id, and the
 // value it is sending.
 type sndr[T any] struct {
@@ -69,14 +56,14 @@ type rcvr[T any] struct {
 
 // Chan is the paper's 'a chan.
 type Chan[T any] struct {
-	sched  Scheduler
+	sched  core.Scheduler
 	chLock core.Lock
 	sndrs  queue.Queue[sndr[T]]
 	rcvrs  queue.Queue[rcvr[T]]
 }
 
 // NewChan creates a channel (Fig. 4: chan).
-func NewChan[T any](s Scheduler) *Chan[T] {
+func NewChan[T any](s core.Scheduler) *Chan[T] {
 	return &Chan[T]{
 		sched:  s,
 		chLock: core.NewMutexLock(),
@@ -100,7 +87,7 @@ func (c *Chan[T]) Send(v T) {
 				c.sndrs.Enq(sndr[T]{kont: k, id: self, val: v})
 				c.chLock.Unlock()
 				c.sched.Dispatch()
-				return core.Unit{} // unreachable
+				return core.Unit{} // to the carrier: Dispatch handed the proc on
 			})
 			return // resumed: some receiver took the value
 		}
@@ -111,8 +98,7 @@ func (c *Chan[T]) Send(v T) {
 			// continuation with the value bound in (the paper's
 			// reschedule_thread converts the 'a cont plus value to a
 			// reschedulable unit cont).
-			kont, id := r.kont, r.id
-			c.sched.Reschedule(func() { cont.Throw(kont, v) }, id)
+			c.sched.Reschedule(core.Ready(r.kont, v), r.id)
 			return
 		}
 		// This receiver was already resumed by another sender; discard its
@@ -131,7 +117,7 @@ func Receive[T any](chans ...*Chan[T]) T {
 	sched := chans[0].sched
 	self := sched.ID()
 	mRecvs.Inc(self)
-	return cont.Callcc(func(k *cont.Cont[T]) T {
+	return cont.Callcc(func(k *cont.Cont[T]) (none T) {
 		r := rcvr[T]{kont: k, id: self, committed: core.NewMutexLock()}
 		for _, c := range randomize(chans) {
 			c.chLock.Lock()
@@ -146,20 +132,22 @@ func Receive[T any](chans ...*Chan[T]) T {
 			if r.committed.TryLock() {
 				c.chLock.Unlock()
 				mCommits.Inc(self)
-				sched.Reschedule(func() { cont.Throw(s.kont, core.Unit{}) }, s.id)
+				sched.Reschedule(core.Ready(s.kont, core.Unit{}), s.id)
 				return s.val // implicit throw to k: the receive completes
 			}
 			// Some sender already committed to us via another channel;
 			// restore the dequeued sender (repairing Fig. 5) and abandon
-			// this invocation — our continuation is already scheduled.
+			// this invocation at once — our continuation is already
+			// scheduled.
 			mAborts.Inc(self)
 			c.sndrs.Enq(s)
 			c.chLock.Unlock()
 			sched.Dispatch()
+			return none // to the carrier: Dispatch handed the proc on
 		}
-		// Parked on every channel; wait for a sender to resume us.
+		// Parked on every channel; a sender will resume k.
 		sched.Dispatch()
-		panic("sel: Dispatch returned")
+		return none // to the carrier, as above
 	})
 }
 

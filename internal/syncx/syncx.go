@@ -17,14 +17,6 @@ import (
 	"repro/internal/queue"
 )
 
-// Scheduler is the slice of the thread package the constructs need;
-// threads.System implements it.
-type Scheduler interface {
-	Reschedule(run func(), id int)
-	Dispatch()
-	ID() int
-}
-
 // waiter is a parked thread: its unit continuation and thread id.
 type waiter struct {
 	k  *core.UnitCont
@@ -34,25 +26,37 @@ type waiter struct {
 // park captures the current thread's continuation, runs register(w) inside
 // the caller's critical section (the caller must hold lk), releases lk and
 // dispatches.  It returns when some other thread reschedules w.
-func park(s Scheduler, lk core.Lock, register func(w waiter)) {
+func park(s core.Scheduler, lk core.Lock, register func(w waiter)) {
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
 		register(waiter{k: k, id: s.ID()})
 		lk.Unlock()
 		s.Dispatch()
-		return core.Unit{} // unreachable
+		return core.Unit{} // to the carrier: Dispatch handed the proc on
 	})
+}
+
+// drain empties a wait queue, in order; call with its guard lock held.
+func drain(q queue.Queue[waiter]) []waiter {
+	var ws []waiter
+	for {
+		w, err := q.Deq()
+		if err != nil {
+			return ws
+		}
+		ws = append(ws, w)
+	}
 }
 
 // Semaphore is a counting semaphore.
 type Semaphore struct {
-	s     Scheduler
+	s     core.Scheduler
 	lk    core.Lock
 	count int
 	wait  queue.Queue[waiter]
 }
 
 // NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(s Scheduler, initial int) *Semaphore {
+func NewSemaphore(s core.Scheduler, initial int) *Semaphore {
 	return NewSemaphoreWith(s, initial, core.NewMutexLock)
 }
 
@@ -60,7 +64,7 @@ func NewSemaphore(s Scheduler, initial int) *Semaphore {
 // the hook that lets servers sharing a gcsync heap guard their admission
 // semaphores with GC-aware locks (spinlock.GCAware), so a dispatcher
 // spinning for credits cannot convoy a pending collection.
-func NewSemaphoreWith(s Scheduler, initial int, f core.LockFactory) *Semaphore {
+func NewSemaphoreWith(s core.Scheduler, initial int, f core.LockFactory) *Semaphore {
 	if initial < 0 {
 		panic("syncx: negative semaphore count")
 	}
@@ -115,7 +119,7 @@ func (m *Semaphore) Release() {
 	m.lk.Lock()
 	if w, err := m.wait.Deq(); err == nil {
 		m.lk.Unlock()
-		m.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		m.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 		return
 	}
 	m.count++
@@ -145,8 +149,7 @@ func (m *Semaphore) ReleaseN(n int) {
 	m.count += n - len(wake)
 	m.lk.Unlock()
 	for _, w := range wake {
-		w := w
-		m.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		m.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 
@@ -154,7 +157,7 @@ func (m *Semaphore) ReleaseN(n int) {
 // one writer.  Writers are preferred once waiting, preventing writer
 // starvation.
 type RWLock struct {
-	s       Scheduler
+	s       core.Scheduler
 	lk      core.Lock
 	readers int // active readers
 	writing bool
@@ -163,7 +166,7 @@ type RWLock struct {
 }
 
 // NewRWLock returns an unheld readers/writer lock.
-func NewRWLock(s Scheduler) *RWLock {
+func NewRWLock(s core.Scheduler) *RWLock {
 	return &RWLock{s: s, lk: core.NewMutexLock(), waitW: queue.NewFifo[waiter](), waitR: queue.NewFifo[waiter]()}
 }
 
@@ -190,7 +193,7 @@ func (l *RWLock) RUnlock() {
 		if w, err := l.waitW.Deq(); err == nil {
 			l.writing = true
 			l.lk.Unlock()
-			l.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+			l.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 			return
 		}
 	}
@@ -219,23 +222,15 @@ func (l *RWLock) Unlock() {
 	if w, err := l.waitW.Deq(); err == nil {
 		// Hand the write lock directly to the next writer.
 		l.lk.Unlock()
-		l.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		l.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 		return
 	}
 	l.writing = false
-	var wake []waiter
-	for {
-		w, err := l.waitR.Deq()
-		if err != nil {
-			break
-		}
-		wake = append(wake, w)
-	}
+	wake := drain(l.waitR)
 	l.readers += len(wake)
 	l.lk.Unlock()
 	for _, w := range wake {
-		w := w
-		l.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		l.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 
@@ -244,14 +239,14 @@ func (l *RWLock) Unlock() {
 // "user-level mutex locks built on top of Lock mutex locks" the
 // evaluation's thread package uses for shared memory.
 type Mutex struct {
-	s    Scheduler
+	s    core.Scheduler
 	lk   core.Lock
 	held bool
 	wait queue.Queue[waiter]
 }
 
 // NewMutex returns an unheld thread mutex.
-func NewMutex(s Scheduler) *Mutex {
+func NewMutex(s core.Scheduler) *Mutex {
 	return &Mutex{s: s, lk: core.NewMutexLock(), wait: queue.NewFifo[waiter]()}
 }
 
@@ -277,7 +272,7 @@ func (m *Mutex) Unlock() {
 	if w, err := m.wait.Deq(); err == nil {
 		// Ownership passes to w; held stays true.
 		m.lk.Unlock()
-		m.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		m.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 		return
 	}
 	m.held = false
@@ -287,14 +282,14 @@ func (m *Mutex) Unlock() {
 // Cond is a condition variable associated with a Mutex, in the style of
 // the Modula-3 thread package the platform was used to build.
 type Cond struct {
-	s    Scheduler
+	s    core.Scheduler
 	mu   *Mutex
 	lk   core.Lock
 	wait queue.Queue[waiter]
 }
 
 // NewCond returns a condition variable tied to mu.
-func NewCond(s Scheduler, mu *Mutex) *Cond {
+func NewCond(s core.Scheduler, mu *Mutex) *Cond {
 	return &Cond{s: s, mu: mu, lk: core.NewMutexLock(), wait: queue.NewFifo[waiter]()}
 }
 
@@ -309,7 +304,7 @@ func (c *Cond) Wait() {
 		c.mu.Unlock()
 		c.lk.Unlock()
 		c.s.Dispatch()
-		return core.Unit{} // unreachable
+		return core.Unit{} // to the carrier, as in park
 	})
 	c.mu.Lock()
 }
@@ -320,32 +315,24 @@ func (c *Cond) Signal() {
 	w, err := c.wait.Deq()
 	c.lk.Unlock()
 	if err == nil {
-		c.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		c.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
 	c.lk.Lock()
-	var wake []waiter
-	for {
-		w, err := c.wait.Deq()
-		if err != nil {
-			break
-		}
-		wake = append(wake, w)
-	}
+	wake := drain(c.wait)
 	c.lk.Unlock()
 	for _, w := range wake {
-		w := w
-		c.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		c.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 
 // Barrier is a cyclic barrier for n parties, the phase synchronization the
 // evaluation benchmarks (allpairs, simple) are built around.
 type Barrier struct {
-	s       Scheduler
+	s       core.Scheduler
 	lk      core.Lock
 	parties int
 	arrived int
@@ -354,7 +341,7 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for the given number of parties.
-func NewBarrier(s Scheduler, parties int) *Barrier {
+func NewBarrier(s core.Scheduler, parties int) *Barrier {
 	if parties < 1 {
 		panic("syncx: barrier needs at least one party")
 	}
@@ -369,18 +356,10 @@ func (b *Barrier) Await() {
 	if b.arrived == b.parties {
 		b.arrived = 0
 		b.gen++
-		var wake []waiter
-		for {
-			w, err := b.wait.Deq()
-			if err != nil {
-				break
-			}
-			wake = append(wake, w)
-		}
+		wake := drain(b.wait)
 		b.lk.Unlock()
 		for _, w := range wake {
-			w := w
-			b.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+			b.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 		}
 		return
 	}
@@ -390,7 +369,7 @@ func (b *Barrier) Await() {
 // Once runs its function exactly once across all threads; later callers
 // block until the first completes.
 type Once struct {
-	s    Scheduler
+	s    core.Scheduler
 	lk   core.Lock
 	done bool
 	busy bool
@@ -398,7 +377,7 @@ type Once struct {
 }
 
 // NewOnce returns a fresh Once.
-func NewOnce(s Scheduler) *Once {
+func NewOnce(s core.Scheduler) *Once {
 	return &Once{s: s, lk: core.NewMutexLock(), wait: queue.NewFifo[waiter]()}
 }
 
@@ -421,32 +400,24 @@ func (o *Once) Do(f func()) {
 
 	o.lk.Lock()
 	o.done = true
-	var wake []waiter
-	for {
-		w, err := o.wait.Deq()
-		if err != nil {
-			break
-		}
-		wake = append(wake, w)
-	}
+	wake := drain(o.wait)
 	o.lk.Unlock()
 	for _, w := range wake {
-		w := w
-		o.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		o.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 
 // WaitGroup counts outstanding work, with Wait parking until the count
 // reaches zero; the join primitive the native benchmarks use.
 type WaitGroup struct {
-	s     Scheduler
+	s     core.Scheduler
 	lk    core.Lock
 	count int
 	wait  queue.Queue[waiter]
 }
 
 // NewWaitGroup returns a WaitGroup with the given initial count.
-func NewWaitGroup(s Scheduler, initial int) *WaitGroup {
+func NewWaitGroup(s core.Scheduler, initial int) *WaitGroup {
 	if initial < 0 {
 		panic("syncx: negative WaitGroup count")
 	}
@@ -465,18 +436,10 @@ func (g *WaitGroup) Add(delta int) {
 		g.lk.Unlock()
 		return
 	}
-	var wake []waiter
-	for {
-		w, err := g.wait.Deq()
-		if err != nil {
-			break
-		}
-		wake = append(wake, w)
-	}
+	wake := drain(g.wait)
 	g.lk.Unlock()
 	for _, w := range wake {
-		w := w
-		g.s.Reschedule(func() { cont.Throw(w.k, core.Unit{}) }, w.id)
+		g.s.Reschedule(core.Ready(w.k, core.Unit{}), w.id)
 	}
 }
 

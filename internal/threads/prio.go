@@ -40,7 +40,7 @@ func NewPrio(pl *proc.Platform) *PrioSystem {
 			return a.Prio < b.Prio
 		}),
 	}
-	s.sched = newSched(pl, s.pending, s.dispatch, s.enqueue)
+	s.sched = newSched(pl, s.pending, s.Dispatch, s.enqueue)
 	return s
 }
 
@@ -80,17 +80,13 @@ func (s *PrioSystem) pending() bool {
 }
 
 // Dispatch transfers control to the highest-priority ready thread, or
-// releases the proc; it never returns.
+// releases the proc, and returns to a caller that then holds no proc
+// (System.Dispatch's contract).
 func (s *PrioSystem) Dispatch() {
-	s.dispatch()
-	cont.Exit()
-}
-
-// dispatch is Dispatch for a caller in tail position (System.dispatch's
-// contract): it returns once the proc has been handed over.
-func (s *PrioSystem) dispatch() {
 	p := proc.Current()
-	s.pl.ReleaseIfRevoked(p)
+	if s.pl.ReleaseIfRevoked(p) {
+		return
+	}
 	for {
 		s.readyLock.Lock()
 		e, err := s.ready.Deq()
@@ -101,7 +97,9 @@ func (s *PrioSystem) dispatch() {
 			mustHaveLeft(s.pl)
 			return
 		}
-		s.pl.ReleaseUnless(p, s.pending)
+		if s.pl.ReleaseUnless(p, s.pending) {
+			return
+		}
 	}
 }
 
@@ -127,21 +125,21 @@ func (s *PrioSystem) Fork(child func(), childPrio, parentPrio int) {
 			if err != proc.ErrNoMoreProcs {
 				panic(err)
 			}
-			s.enqueue(resume(parent), parentID, parentPrio)
+			s.enqueue(core.Ready(parent, core.Unit{}), parentID, parentPrio)
 		}
 		proc.SetDatum(s.newID())
 		_ = childPrio // the child holds the proc; its priority matters at its next yield
 		child()
-		s.dispatch()
-		return core.Unit{} // to the carrier: the proc has gone to a ready thread
+		s.Dispatch()
+		return core.Unit{} // to the carrier: Dispatch handed the proc on
 	})
 }
 
 // Yield gives up the processor, re-queueing the caller at prio.
 func (s *PrioSystem) Yield(prio int) {
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
-		s.enqueue(resume(k), s.ID(), prio)
-		s.dispatch()
+		s.enqueue(core.Ready(k, core.Unit{}), s.ID(), prio)
+		s.Dispatch()
 		return core.Unit{} // to the carrier, as in Fork
 	})
 }

@@ -67,17 +67,10 @@ func (s *sched) blocking(f func(), id, prio int) {
 	// thread.  Still counted as blocked until queued *and* woken for, so
 	// the platform cannot quiesce around the entry.
 	cont.Suspend(func(k *core.UnitCont) {
-		s.requeue(resume(k), id, prio)
+		s.requeue(core.Ready(k, core.Unit{}), id, prio)
 		s.wake()
 		s.pl.Requeued()
 	})
-}
-
-// resume is the Entry.Run of a thread parked as a unit continuation: the
-// dispatching proc is handed over and the dispatcher returns (cont.Resume)
-// instead of unwinding.
-func resume(k *core.UnitCont) func() {
-	return func() { cont.Resume(k, core.Unit{}) }
 }
 
 // mustHaveLeft is dispatch's check on an Entry.Run that came back: it

@@ -10,11 +10,12 @@
 // synchronization constructs (packages sel, cml, syncx) are built by
 // capturing continuations and parking them on their own wait queues.
 //
-// A queued thread is an Entry: a thunk that, when run, throws the thread's
+// A queued thread is an Entry: a thunk that, when run, resumes the thread's
 // continuation (the paper's `unit cont`, generalized so that clients such
 // as Fig. 5's reschedule_thread can bind a value into the continuation
-// before queueing it), paired with the thread's integer id, which dispatch
-// installs in the per-proc datum before transferring control.
+// before queueing it — core.Ready), paired with the thread's integer id,
+// which dispatch installs in the per-proc datum before transferring
+// control.
 package threads
 
 import (
@@ -32,9 +33,9 @@ import (
 )
 
 // Entry is a ready thread: Run hands the calling proc to the thread's
-// continuation — cont.Resume, which returns to a caller holding no proc,
-// or cont.Throw, which unwinds it — and ID is the thread identifier
-// dispatch installs as the proc datum first.
+// continuation — core.Ready's cont.Resume, which returns to a caller
+// holding no proc, or a client's cont.Throw, which unwinds it — and ID is
+// the thread identifier dispatch installs as the proc datum first.
 type Entry struct {
 	Run func()
 	ID  int
@@ -152,7 +153,7 @@ func New(pl *proc.Platform, opts Options) *System {
 		s.queues[i].lock = opts.NewLock()
 		s.queues[i].q = opts.NewQueue()
 	}
-	s.sched = newSched(pl, s.pending, func() { s.dispatch(proc.Current()) },
+	s.sched = newSched(pl, s.pending, s.Dispatch,
 		func(run func(), id, _ int) { s.reschedule(0, run, id) })
 	return s
 }
@@ -253,33 +254,20 @@ func (s *System) reschedule(self int, run func(), id int) {
 	rq.lock.Unlock()
 }
 
-// RescheduleCont queues a plain unit continuation, the common case.
-func (s *System) RescheduleCont(k *core.UnitCont, id int) {
-	s.Reschedule(resume(k), id)
-}
-
 // Dispatch transfers control to some ready thread, or releases the calling
-// proc if none is available (Fig. 3: dispatch).  It never returns.
-// Dispatch is also a revocation safe point: if the OS has reduced the
-// physical-processor allowance (§3.1), the proc is released here and the
-// queued work is left for the survivors.
+// proc if none is available (Fig. 3: dispatch), and returns to a caller
+// that then holds no proc (the core.Scheduler contract).  Dispatch is also
+// a revocation safe point: if the OS has reduced the physical-processor
+// allowance (§3.1), the proc is released here and the queued work is left
+// for the survivors.  Whether the proc leaves, and when, is the platform's
+// decision, not a check here followed by a release there.
 func (s *System) Dispatch() {
-	s.dispatch(proc.Current())
-	cont.Exit() // the caller may be at any depth: unwind it
-}
-
-// dispatch is Dispatch for a caller in tail position on its carrier —
-// the package's own Fork, Yield and proc roots — and with the calling
-// proc already resolved: every per-proc counter and queue below shards by
-// its id, so the (goroutine-local) lookup happens exactly once per
-// scheduler operation.  It returns once the proc has been handed to a
-// ready thread, to a caller that must do nothing more than return.  The
-// two other ways out of the loop are the platform's decision, not a check
-// here followed by a release there, and those unwind.
-func (s *System) dispatch(p *proc.Proc) {
+	p := proc.Current()
 	self := p.ID()
 	s.m.dispatches.Inc(self)
-	s.pl.ReleaseIfRevoked(p)
+	if s.pl.ReleaseIfRevoked(p) {
+		return
+	}
 	for {
 		if e, ok := s.pop(self); ok {
 			p.SetDatum(e.ID)
@@ -288,7 +276,9 @@ func (s *System) dispatch(p *proc.Proc) {
 			mustHaveLeft(s.pl)
 			return
 		}
-		s.pl.ReleaseUnless(p, s.pending)
+		if s.pl.ReleaseUnless(p, s.pending) {
+			return
+		}
 	}
 }
 
@@ -353,16 +343,14 @@ func (s *System) Fork(child func()) {
 			if err != proc.ErrNoMoreProcs {
 				panic(err)
 			}
-			s.reschedule(self, func() { cont.Throw(parent, core.Unit{}) }, parentID)
+			s.reschedule(self, core.Ready(parent, core.Unit{}), parentID)
 		}
 		childID := s.newID()
 		p.SetDatum(childID)
 		s.tracer.Emit(self, s.evFork, int64(childID))
 		child()
-		// child may have yielded and been resumed on a different proc, so
-		// the proc captured above can be stale here: re-resolve it.
-		s.dispatch(proc.Current())
-		return core.Unit{} // unreachable
+		s.Dispatch()
+		return core.Unit{} // to the carrier: Dispatch handed the proc on
 	})
 }
 
@@ -374,17 +362,20 @@ func (s *System) Yield() {
 	s.m.yields.Inc(self)
 	s.tracer.Emit(self, s.evYield, 0)
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
-		s.reschedule(self, func() { cont.Throw(k, core.Unit{}) }, threadID(p))
-		s.dispatch(p)
-		return core.Unit{} // unreachable
+		s.reschedule(self, core.Ready(k, core.Unit{}), threadID(p))
+		s.Dispatch()
+		return core.Unit{} // to the carrier, as in Fork
 	})
 }
 
 // Exit terminates the calling thread and dispatches another; it never
 // returns.  (Threads forked with Fork also exit implicitly when child
-// returns.)
+// returns.)  It is the package's one unwinding exit: the calling thread
+// may be at any depth, so once Dispatch has handed its proc on, the rest
+// of its stack is abandoned.
 func (s *System) Exit() {
 	s.Dispatch()
+	cont.Exit()
 }
 
 // CheckPreempt is the safe point of the preemption mechanism: if the

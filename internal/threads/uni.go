@@ -41,20 +41,24 @@ func (u *Uni) Run(root func()) {
 }
 
 func (u *Uni) reschedule(k *core.UnitCont, id int) {
-	u.ready.Enq(Entry{Run: func() { cont.Throw(k, core.Unit{}) }, ID: id})
+	u.ready.Enq(Entry{Run: core.Ready(k, core.Unit{}), ID: id})
 }
 
 // dispatch transfers control to the next ready thread; with an empty queue
 // the computation is finished and the proc is released.  (Fig. 1's dispatch
 // simply lets Queue.Empty propagate; releasing is the MP-era refinement.)
+// Either way it returns to a caller that then holds no proc, as
+// System.Dispatch does.
 func (u *Uni) dispatch() {
 	e, err := u.ready.Deq()
 	if err != nil {
-		u.pl.Release()
+		// One proc: nothing can be queued meanwhile, so the leave is never refused.
+		u.pl.ReleaseUnless(proc.Current(), func() bool { return false })
+		return
 	}
 	u.currentID = e.ID
 	e.Run()
-	panic("threads: Entry.Run returned")
+	mustHaveLeft(u.pl)
 }
 
 // Fork starts a new thread executing child (Fig. 1: fork).  The parent is
@@ -66,7 +70,7 @@ func (u *Uni) Fork(child func()) {
 		u.nextID++
 		child()
 		u.dispatch()
-		return core.Unit{} // unreachable
+		return core.Unit{} // to the carrier: dispatch handed the proc on
 	})
 }
 
@@ -75,7 +79,7 @@ func (u *Uni) Yield() {
 	cont.Callcc(func(k *core.UnitCont) core.Unit {
 		u.reschedule(k, u.currentID)
 		u.dispatch()
-		return core.Unit{} // unreachable
+		return core.Unit{} // to the carrier, as in Fork
 	})
 }
 
