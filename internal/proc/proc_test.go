@@ -110,6 +110,11 @@ func TestReleaseReuse(t *testing.T) {
 				return
 			}
 			<-done
+			// done is closed just before the proc's Release: wait for
+			// the token to come back before asking for it again.
+			for !pl.Idle() {
+				runtime.Gosched()
+			}
 		}
 		reused = pl.Stats().Reused
 	}, nil)

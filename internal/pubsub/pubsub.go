@@ -10,7 +10,7 @@
 // Shape of the subsystem:
 //
 //	/publish ─▶ handler ──Mailbox.Send──▶ topic thread ──enqueue──▶
-//	delivery world (PrioSystem, fair-share by tenant virtual time)
+//	delivery world (priority-queued System, fair-share by tenant virtual time)
 //	──SubStream.push──▶ subscriber ring ──Pull──▶ connection owner
 //	(serve worker / fabric conn thread / mux poller) ──chunks──▶ client
 //

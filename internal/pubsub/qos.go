@@ -7,11 +7,11 @@ package pubsub
 // the publisher gets 429 + Retry-After instead of a queue slot, so one
 // tenant's publish storm cannot occupy the broker at all.
 //
-// Delivery dispatch is fair-share over threads.PrioSystem — the paper's
-// priority-queue footnote made load-bearing.  Each tenant accrues
-// virtual time as its frames are delivered (weighted by fan-out and
-// frame size); dispatcher threads always claim a quantum from the
-// active tenant with the smallest virtual time, then Yield at a
+// Delivery dispatch is fair-share over a threads.System queued by
+// NewPrioQueue — the paper's priority-queue footnote made load-bearing.
+// Each tenant accrues virtual time as its frames are delivered (weighted
+// by fan-out and frame size); dispatcher threads always claim a quantum
+// from the active tenant with the smallest virtual time, then YieldAt a
 // priority equal to that tenant's normalized virtual time.  A tenant
 // whose fan-out is expensive therefore sinks in the priority queue and
 // the quiet tenant's deliveries overtake it — starvation-free because
@@ -65,14 +65,14 @@ type fanJob struct {
 }
 
 // deliveryWorld is the broker's second scheduling world: its own
-// platform under a PrioSystem, running DeliveryThreads dispatchers.
-// Keeping delivery off the broker's serving system means a fan-out
-// burst contends for delivery procs, not for the procs parsing requests
-// — QoS between tenants, isolation between subsystems.
+// platform under a priority-queued System, running DeliveryThreads
+// dispatchers.  Keeping delivery off the broker's serving system means a
+// fan-out burst contends for delivery procs, not for the procs parsing
+// requests — QoS between tenants, isolation between subsystems.
 type deliveryWorld struct {
 	b  *Broker
 	pl *proc.Platform
-	ps *threads.PrioSystem
+	ps *threads.System
 
 	lock    core.Lock
 	active  []*tenant // invariant: t ∈ active ⇔ len(t.q) > 0
@@ -106,10 +106,10 @@ func newDeliveryWorld(b *Broker, procs, threadN, batch int) *deliveryWorld {
 // run is the host entry point (Broker.Runner): bootstrap the priority
 // system with the dispatchers and block until they all exit after stop.
 func (d *deliveryWorld) run() {
-	d.ps = threads.NewPrio(d.pl)
+	d.ps = threads.New(d.pl, threads.Options{NewQueue: threads.NewPrioQueue})
 	d.ps.Run(func() {
 		for i := 1; i < d.threads; i++ {
-			d.ps.Fork(d.dispatcher, 0, 0)
+			d.ps.Fork(d.dispatcher)
 		}
 		d.dispatcher()
 	})
@@ -217,13 +217,13 @@ func (d *deliveryWorld) dispatcher() {
 		if j == nil {
 			switch {
 			case !d.stop.Load():
-				d.ps.Await(d.wake, 0)
+				d.ps.Await(d.wake)
 			case d.pending.Load() == 0:
 				d.wake.Signal() // pass the halt on to the next idle dispatcher
 				return
 			default:
 				// Stopped, with the last quanta in other dispatchers' hands.
-				d.ps.Yield(idlePrio)
+				d.ps.YieldAt(idlePrio)
 			}
 			continue
 		}
@@ -255,6 +255,6 @@ func (d *deliveryWorld) dispatcher() {
 			j.done.set(gateOK)
 			d.pending.Add(-1)
 		}
-		d.ps.Yield(prio)
+		d.ps.YieldAt(prio)
 	}
 }

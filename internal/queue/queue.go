@@ -21,7 +21,6 @@
 package queue
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 )
@@ -147,8 +146,12 @@ func (q *Random[T]) Len() int { return len(q.buf) }
 // Priority dequeues the least element first according to a comparison
 // function — the "minor signature change" the paper footnotes for priority
 // scheduling, realized here by fixing the priority at construction time.
+// It is a binary heap sifted in place on typed items, so neither Enq nor
+// Deq allocates once the slice has grown.
 type Priority[T any] struct {
-	h prioHeap[T]
+	items []prioItem[T]
+	less  func(a, b T) bool
+	seq   uint64
 }
 
 type prioItem[T any] struct {
@@ -156,51 +159,63 @@ type prioItem[T any] struct {
 	seq uint64 // FIFO tie-break for equal priorities
 }
 
-type prioHeap[T any] struct {
-	items []prioItem[T]
-	less  func(a, b T) bool
-	seq   uint64
+// NewPriority returns an empty priority queue ordered by less.
+func NewPriority[T any](less func(a, b T) bool) Queue[T] {
+	return &Priority[T]{less: less}
 }
 
-func (h prioHeap[T]) Len() int { return len(h.items) }
-func (h prioHeap[T]) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.less(a.x, b.x) {
+func (q *Priority[T]) before(i, j int) bool {
+	a, b := &q.items[i], &q.items[j]
+	if q.less(a.x, b.x) {
 		return true
 	}
-	if h.less(b.x, a.x) {
+	if q.less(b.x, a.x) {
 		return false
 	}
 	return a.seq < b.seq
 }
-func (h prioHeap[T]) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *prioHeap[T]) Push(x any)   { h.items = append(h.items, x.(prioItem[T])) }
-func (h *prioHeap[T]) Pop() any {
-	n := len(h.items)
-	it := h.items[n-1]
-	h.items = h.items[:n-1]
-	return it
-}
-
-// NewPriority returns an empty priority queue ordered by less.
-func NewPriority[T any](less func(a, b T) bool) Queue[T] {
-	return &Priority[T]{h: prioHeap[T]{less: less}}
-}
 
 func (q *Priority[T]) Enq(x T) {
-	q.h.seq++
-	heap.Push(&q.h, prioItem[T]{x, q.h.seq})
+	q.seq++
+	q.items = append(q.items, prioItem[T]{x, q.seq})
+	for i := len(q.items) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q.before(i, up) {
+			break
+		}
+		q.items[i], q.items[up] = q.items[up], q.items[i]
+		i = up
+	}
 }
 
 func (q *Priority[T]) Deq() (T, error) {
-	var zero T
-	if len(q.h.items) == 0 {
+	n := len(q.items) - 1
+	if n < 0 {
+		var zero T
 		return zero, ErrEmpty
 	}
-	return heap.Pop(&q.h).(prioItem[T]).x, nil
+	x := q.items[0].x
+	q.items[0] = q.items[n]
+	q.items[n] = prioItem[T]{} // release for GC
+	q.items = q.items[:n]
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && q.before(l, min) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && q.before(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q.items[i], q.items[min] = q.items[min], q.items[i]
+		i = min
+	}
+	return x, nil
 }
 
-func (q *Priority[T]) Len() int { return len(q.h.items) }
+func (q *Priority[T]) Len() int { return len(q.items) }
 
 // Ring is a fixed-capacity FIFO; Enq on a full ring panics, making it
 // suitable for statically bounded structures such as per-proc mailboxes.

@@ -114,6 +114,58 @@ func TestPriorityFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestQuickPriorityInterleaved: under any script of enqueues and
+// dequeues, each Deq returns the least priority queued, the earliest
+// enqueued among equals.
+func TestQuickPriorityInterleaved(t *testing.T) {
+	type job struct{ prio, seq int }
+	prop := func(ops []int8) bool {
+		q := NewPriority(func(a, b job) bool { return a.prio < b.prio })
+		var ref []job // kept sorted by (prio, seq)
+		for seq, op := range ops {
+			if op >= 0 {
+				j := job{int(op) % 4, seq}
+				q.Enq(j)
+				i := sort.Search(len(ref), func(i int) bool { return ref[i].prio > j.prio })
+				ref = append(ref[:i], append([]job{j}, ref[i:]...)...)
+				continue
+			}
+			got, err := q.Deq()
+			if len(ref) == 0 {
+				if err != ErrEmpty {
+					return false
+				}
+				continue
+			}
+			if err != nil || got != ref[0] {
+				return false
+			}
+			ref = ref[1:]
+		}
+		return q.Len() == len(ref)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNoAllocsPriority: once its slice has grown, the priority queue
+// enqueues and dequeues without allocating, as Fifo does.
+func TestNoAllocsPriority(t *testing.T) {
+	q := NewPriority(func(a, b int) bool { return a < b })
+	for i := 0; i < 64; i++ {
+		q.Enq(i % 7)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		q.Enq(i % 7)
+		q.Deq()
+	}); n != 0 {
+		t.Fatalf("Priority Enq+Deq allocates %.1f times, want 0", n)
+	}
+}
+
 func TestRingBounds(t *testing.T) {
 	q := NewRing[int](3)
 	q.Enq(1)

@@ -51,12 +51,19 @@ func (u *unwindCounter) Reschedule(run func(), id int) {
 }
 
 // TestSchedulerTransfersNeverUnwind drives every blocking construct of
-// syncx, cml and sel through a counting scheduler, on a central and a
-// distributed run queue: each park dispatches and each wake-up runs a
-// ready thunk, and none of them may end in a panic unwind.
+// syncx, cml and sel through a counting scheduler, on a central, a
+// distributed and a priority run queue: each park dispatches and each
+// wake-up runs a ready thunk, and none of them may end in a panic unwind.
 func TestSchedulerTransfersNeverUnwind(t *testing.T) {
-	for _, distributed := range []bool{false, true} {
-		u := &unwindCounter{System: threads.New(proc.New(2), threads.Options{Distributed: distributed})}
+	for _, mode := range []struct {
+		name string
+		opts threads.Options
+	}{
+		{"central", threads.Options{}},
+		{"distributed", threads.Options{Distributed: true}},
+		{"priority", threads.Options{NewQueue: threads.NewPrioQueue}},
+	} {
+		u := &unwindCounter{System: threads.New(proc.New(2), mode.opts)}
 		aborts := mAborts.Value()
 		u.Run(func() {
 			driveSyncx(t, u)
@@ -64,16 +71,15 @@ func TestSchedulerTransfersNeverUnwind(t *testing.T) {
 			driveSel(t, u)
 			forceReceiveAbort(t, u)
 		})
-		mode := fmt.Sprintf("distributed=%v", distributed)
 		if u.dispatches.Load() == 0 || u.runs.Load() == 0 {
-			t.Fatalf("%s: %d dispatches, %d ready thunks run: nothing blocked", mode, u.dispatches.Load(), u.runs.Load())
+			t.Fatalf("%s: %d dispatches, %d ready thunks run: nothing blocked", mode.name, u.dispatches.Load(), u.runs.Load())
 		}
 		if mAborts.Value() == aborts {
-			t.Errorf("%s: Receive's abort path was never taken", mode)
+			t.Errorf("%s: Receive's abort path was never taken", mode.name)
 		}
 		if n := u.unwinds.Load(); n != 0 {
 			t.Errorf("%s: %d scheduler transfers unwound (of %d dispatches, %d ready thunks)",
-				mode, n, u.dispatches.Load(), u.runs.Load())
+				mode.name, n, u.dispatches.Load(), u.runs.Load())
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPrioHigherRunsFirst(t *testing.T) {
-	s := NewPrio(proc.New(1))
+	s := New(proc.New(1), Options{NewQueue: NewPrioQueue})
 	var order []int
 	s.Run(func() {
 		// Park several threads at distinct priorities, then let the
@@ -17,9 +17,9 @@ func TestPrioHigherRunsFirst(t *testing.T) {
 		for _, prio := range []int{5, 1, 9, 3, 7} {
 			prio := prio
 			s.Fork(func() {
-				s.Yield(prio) // park self at the assigned priority
+				s.YieldAt(prio) // park self at the assigned priority
 				order = append(order, prio)
-			}, prio, 0) // root re-queues at highest priority to keep forking
+			}) // Fork re-queues the root at priority 0, so it keeps forking
 		}
 	})
 	want := []int{1, 3, 5, 7, 9}
@@ -36,19 +36,19 @@ func TestPrioHigherRunsFirst(t *testing.T) {
 func TestPrioStarvationByDesign(t *testing.T) {
 	// Strict priority scheduling means a low-priority thread runs only
 	// when nothing higher is ready — the policy really is the queue.
-	s := NewPrio(proc.New(1))
+	s := New(proc.New(1), Options{NewQueue: NewPrioQueue})
 	var order []string
 	s.Run(func() {
 		s.Fork(func() {
-			s.Yield(10)
+			s.YieldAt(10)
 			order = append(order, "low")
-		}, 10, 0)
+		})
 		s.Fork(func() {
-			s.Yield(1)
+			s.YieldAt(1)
 			order = append(order, "high")
-			s.Yield(1)
+			s.YieldAt(1)
 			order = append(order, "high2")
-		}, 1, 0)
+		})
 	})
 	if len(order) != 3 || order[0] != "high" || order[1] != "high2" || order[2] != "low" {
 		t.Fatalf("order = %v", order)
@@ -56,14 +56,14 @@ func TestPrioStarvationByDesign(t *testing.T) {
 }
 
 func TestPrioIDsStillUnique(t *testing.T) {
-	s := NewPrio(proc.New(1))
+	s := New(proc.New(1), Options{NewQueue: NewPrioQueue})
 	seen := map[int]bool{}
 	var ids []int
 	s.Run(func() {
 		for i := 0; i < 10; i++ {
 			s.Fork(func() {
 				ids = append(ids, s.ID())
-			}, 5, 0)
+			})
 		}
 	})
 	for _, id := range ids {
@@ -86,7 +86,7 @@ func TestPrioIDsStillUnique(t *testing.T) {
 // run-to-yield atomicity) regresses, contended attempts become nonzero
 // and — rather than hanging the suite — the bounded retry surfaces it.
 func TestPrioLockDisciplinePreventsInversion(t *testing.T) {
-	s := NewPrio(proc.New(1))
+	s := New(proc.New(1), Options{NewQueue: NewPrioQueue})
 	var lock atomic.Int32 // 0 = free, 1 = held
 	var holderTurns, claimerTurns, contended int
 	const iters = 50
@@ -102,9 +102,9 @@ func TestPrioLockDisciplinePreventsInversion(t *testing.T) {
 				}
 				holderTurns++
 				lock.Store(0) // release BEFORE the yield — the discipline
-				s.Yield(9)
+				s.YieldAt(9)
 			}
-		}, 9, 0)
+		})
 		s.Fork(func() {
 			for i := 0; i < iters; i++ {
 				got := false
@@ -114,16 +114,16 @@ func TestPrioLockDisciplinePreventsInversion(t *testing.T) {
 						break
 					}
 					contended++
-					s.Yield(1)
+					s.YieldAt(1)
 				}
 				if !got {
 					return // counted; the test fails on contended != 0
 				}
 				claimerTurns++
 				lock.Store(0)
-				s.Yield(1)
+				s.YieldAt(1)
 			}
-		}, 1, 0)
+		})
 	})
 	if contended != 0 {
 		t.Fatalf("contended lock attempts = %d, want 0: a yield happened with the lock held", contended)
@@ -159,15 +159,15 @@ func TestPrioFairShareMixedDispatchers(t *testing.T) {
 	}
 
 	var lock atomic.Int32
-	acquire := func(s *PrioSystem, prio int) {
+	acquire := func(s *System, prio int) {
 		for !lock.CompareAndSwap(0, 1) {
-			s.Yield(prio) // never spin without rescheduling
+			s.YieldAt(prio) // never spin without rescheduling
 		}
 	}
 	release := func() { lock.Store(0) }
 
 	var order []string // guarded by lock
-	s := NewPrio(proc.New(2))
+	s := New(proc.New(2), Options{NewQueue: NewPrioQueue})
 	dispatcher := func() {
 		prio := 0
 		for {
@@ -194,12 +194,12 @@ func TestPrioFairShareMixedDispatchers(t *testing.T) {
 			}
 			prio = int(min.vtime - low)
 			release()
-			s.Yield(prio) // lock NOT held across the yield
+			s.YieldAt(prio) // lock NOT held across the yield
 		}
 	}
 	s.Run(func() {
-		s.Fork(dispatcher, 0, 0)
-		s.Fork(dispatcher, 0, 0)
+		s.Fork(dispatcher)
+		s.Fork(dispatcher)
 		dispatcher()
 	})
 

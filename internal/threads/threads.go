@@ -15,7 +15,7 @@
 // as Fig. 5's reschedule_thread can bind a value into the continuation
 // before queueing it — core.Ready), paired with the thread's integer id,
 // which dispatch installs in the per-proc datum before transferring
-// control.
+// control, and with a priority that only a priority discipline reads.
 package threads
 
 import (
@@ -39,12 +39,24 @@ import (
 type Entry struct {
 	Run func()
 	ID  int
+	// Prio is the paper's footnote 1: "priority queues would need a
+	// priority to be passed to the enqueue operation".  YieldAt passes
+	// it; every other enqueue passes 0.  NewPrioQueue runs the smallest
+	// first; the other disciplines ignore it.
+	Prio int
+}
+
+// NewPrioQueue is the priority ready-queue discipline: the smallest
+// Entry.Prio runs first, and equal priorities run in the order queued.
+func NewPrioQueue() queue.Queue[Entry] {
+	return queue.NewPriority(func(a, b Entry) bool { return a.Prio < b.Prio })
 }
 
 // Options parameterize the functor, exactly as MPThread is parameterized
 // by QUEUE and LOCK structures.
 type Options struct {
-	// NewQueue supplies the ready-queue discipline; nil means FIFO.
+	// NewQueue supplies the ready-queue discipline; nil means FIFO, and
+	// NewPrioQueue orders by Entry.Prio.
 	NewQueue queue.Factory[Entry]
 	// NewLock supplies the mutex flavor; nil means the platform default.
 	NewLock spinlock.Factory
@@ -94,7 +106,8 @@ type sysMetrics struct {
 
 // System is a multiprocessor thread package over the MP platform (Fig. 3).
 type System struct {
-	sched
+	pl          *proc.Platform
+	loop        func() // s.Dispatch, bound once: wake starts it on an idle slot
 	distributed bool
 	queues      []runQueue // one entry in central mode, MaxProcs in distributed
 
@@ -103,8 +116,9 @@ type System struct {
 	quantum time.Duration
 	preempt []atomic.Bool
 
-	reg *metrics.Registry
-	m   sysMetrics
+	reg   *metrics.Registry
+	m     sysMetrics
+	wakes *metrics.Counter // threads.external_wakes
 
 	tracer     *trace.Tracer
 	evFork     trace.EventID
@@ -127,6 +141,7 @@ func New(pl *proc.Platform, opts Options) *System {
 		n = pl.MaxProcs()
 	}
 	s := &System{
+		pl:          pl,
 		distributed: opts.Distributed,
 		queues:      make([]runQueue, n),
 		quantum:     opts.Quantum,
@@ -141,6 +156,7 @@ func New(pl *proc.Platform, opts Options) *System {
 		steals:     s.reg.Counter("threads.steals"),
 		preempts:   s.reg.Counter("threads.preempts"),
 	}
+	s.wakes = s.reg.Counter("threads.external_wakes")
 	if s.tracer != nil {
 		s.evFork = s.tracer.Define("threads.fork")
 		s.evYield = s.tracer.Define("threads.yield")
@@ -153,10 +169,12 @@ func New(pl *proc.Platform, opts Options) *System {
 		s.queues[i].lock = opts.NewLock()
 		s.queues[i].q = opts.NewQueue()
 	}
-	s.sched = newSched(pl, s.pending, s.Dispatch,
-		func(run func(), id, _ int) { s.reschedule(0, run, id) })
+	s.loop = s.Dispatch
 	return s
 }
+
+// Platform returns the underlying MP platform.
+func (s *System) Platform() *proc.Platform { return s.pl }
 
 // Stats returns a snapshot of scheduler counters, merged across the
 // per-proc shards on this (cold) read side.
@@ -237,20 +255,20 @@ func (s *System) Reschedule(run func(), id int) {
 	if s.distributed {
 		self, _ = proc.TrySelf() // a caller outside the MP world homes on queue 0
 	}
-	s.reschedule(self, run, id)
+	s.reschedule(self, run, id, 0)
 	s.wake()
 }
 
 // reschedule queues an entry on the given proc's queue (queue 0 in
 // central mode); self is the caller's proc id, resolved once upstream.
-func (s *System) reschedule(self int, run func(), id int) {
+func (s *System) reschedule(self int, run func(), id, prio int) {
 	qi := 0
 	if s.distributed {
 		qi = self % len(s.queues)
 	}
 	rq := &s.queues[qi]
 	rq.lock.Lock()
-	rq.q.Enq(Entry{Run: run, ID: id})
+	rq.q.Enq(Entry{Run: run, ID: id, Prio: prio})
 	rq.lock.Unlock()
 }
 
@@ -296,14 +314,6 @@ func (s *System) pending() bool {
 	return false
 }
 
-// Blocking runs f — one bare OS call: a socket read or write, an
-// accept, a sleep, a poller wait — with no proc held, so a thread
-// waiting in the kernel costs its system nothing: the caller's proc is
-// released (and restarted on Dispatch if ready threads are queued), f
-// runs, and the thread continues on a proc again — at once if a slot is
-// idle, else queued as any ready thread.  f must make no MP call.
-func (s *System) Blocking(f func()) { s.blocking(f, s.ID(), 0) }
-
 // pop takes the next ready entry: the local queue first, then — in
 // distributed mode — a sweep of the other procs' queues (work stealing).
 func (s *System) pop(self int) (Entry, bool) {
@@ -343,7 +353,7 @@ func (s *System) Fork(child func()) {
 			if err != proc.ErrNoMoreProcs {
 				panic(err)
 			}
-			s.reschedule(self, core.Ready(parent, core.Unit{}), parentID)
+			s.reschedule(self, core.Ready(parent, core.Unit{}), parentID, 0)
 		}
 		childID := s.newID()
 		p.SetDatum(childID)
@@ -356,13 +366,17 @@ func (s *System) Fork(child func()) {
 
 // Yield temporarily gives up the processor to another ready thread
 // (Fig. 3: yield).
-func (s *System) Yield() {
+func (s *System) Yield() { s.YieldAt(0) }
+
+// YieldAt is Yield that re-queues the caller at priority prio, which
+// only a priority discipline (NewPrioQueue) reads.
+func (s *System) YieldAt(prio int) {
 	p := proc.Current()
 	self := p.ID()
 	s.m.yields.Inc(self)
-	s.tracer.Emit(self, s.evYield, 0)
-	cont.Callcc(func(k *core.UnitCont) core.Unit {
-		s.reschedule(self, core.Ready(k, core.Unit{}), threadID(p))
+	s.tracer.Emit(self, s.evYield, int64(prio))
+	cont.Callcc(func(k *core.UnitCont) core.Unit { // p.ID(), not self: a four-word closure
+		s.reschedule(p.ID(), core.Ready(k, core.Unit{}), threadID(p), prio)
 		s.Dispatch()
 		return core.Unit{} // to the carrier, as in Fork
 	})

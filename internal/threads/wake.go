@@ -6,36 +6,19 @@ import (
 
 	"repro/internal/cont"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/proc"
 )
 
-// sched is what the two multiprocessor thread packages share beneath
-// their queue disciplines: the paper's two rules for idleness (Fig. 3 —
-// dispatch releases the proc when the ready queue is empty; fork tries
-// acquire_proc before it queues), applied at the two places a Go
-// realization needs them spelled out.  The invariant both serve:
+// The paper's two rules for idleness (Fig. 3 — dispatch releases the
+// proc when the ready queue is empty; fork tries acquire_proc before it
+// queues) need spelling out at two more places in a Go realization: an
+// enqueue from outside the system, and a thread coming back from a
+// blocking call.  The invariant both serve:
 //
 //	ready queue non-empty ∧ idle slot ⇒ a proc is running or being started
 //
 // A proc of the system upholds it by dispatching; wake upholds it for
 // everyone who enqueues without a dispatch to follow.
-type sched struct {
-	pl      *proc.Platform
-	pending func() bool                    // ready queue non-empty? (leaf locks only)
-	loop    func()                         // the package's dispatch loop, as a proc's root
-	requeue func(run func(), id, prio int) // bare enqueue, no wake
-	wakes   *metrics.Counter               // threads.external_wakes
-}
-
-func newSched(pl *proc.Platform, pending func() bool, loop func(),
-	requeue func(run func(), id, prio int)) sched {
-	return sched{pl: pl, pending: pending, loop: loop, requeue: requeue,
-		wakes: pl.Metrics().Counter("threads.external_wakes")}
-}
-
-// Platform returns the underlying MP platform.
-func (s *sched) Platform() *proc.Platform { return s.pl }
 
 // wake is Fig. 3's fork rule for an enqueue: if a slot is idle a proc is
 // acquired to run Dispatch rather than leaving the thread to wait for
@@ -44,7 +27,7 @@ func (s *sched) Platform() *proc.Platform { return s.pl }
 // coming back from Blocking, a proc handed back on the way in — no such
 // dispatch is promised at all, and wake is what upholds the invariant.
 // A saturated system pays one atomic load.
-func (s *sched) wake() {
+func (s *System) wake() {
 	if !s.pl.Idle() || !s.pending() {
 		return
 	}
@@ -54,9 +37,14 @@ func (s *sched) wake() {
 	}
 }
 
-// blocking is Blocking for thread id, re-queued at prio if it returns to
-// a full allowance.
-func (s *sched) blocking(f func(), id, prio int) {
+// Blocking runs f — one bare OS call: a socket read or write, an
+// accept, a sleep, a poller wait — with no proc held, so a thread
+// waiting in the kernel costs its system nothing: the caller's proc is
+// released (and restarted on Dispatch if ready threads are queued), f
+// runs, and the thread continues on a proc again — at once if a slot is
+// idle, else queued as any ready thread.  f must make no MP call.
+func (s *System) Blocking(f func()) {
+	id := s.ID()
 	s.pl.Block()
 	s.wake() // the slot just vacated may be the one queued work waits for
 	f()
@@ -67,7 +55,7 @@ func (s *sched) blocking(f func(), id, prio int) {
 	// thread.  Still counted as blocked until queued *and* woken for, so
 	// the platform cannot quiesce around the entry.
 	cont.Suspend(func(k *core.UnitCont) {
-		s.requeue(core.Ready(k, core.Unit{}), id, prio)
+		s.reschedule(0, core.Ready(k, core.Unit{}), id, 0)
 		s.wake()
 		s.pl.Requeued()
 	})
