@@ -28,7 +28,7 @@
 //	         [-deadline ticks] [-tick d] [-quantum d]
 //	         [-trace out.json]
 //	         [-shards N] [-rebalance ticks] [-steal N]
-//	         [-fair-locks] [-mux] [-pollers N] [-maxconns N] [-idle ticks]
+//	         [-mux] [-pollers N] [-maxconns N] [-idle ticks]
 //	         [-pubsub] [-tenant-quota N] [-autoscale] [-max-shards N]
 //	         [-mlalloc] [-ml-nursery W] [-ml-semi W] [-ml-chunk W]
 //	         [-ml-region W]
@@ -95,7 +95,6 @@ func main() {
 	mlSemi := flag.Int("ml-semi", 1<<20, "mlalloc: semispace size in words")
 	mlChunk := flag.Int("ml-chunk", 1024, "mlalloc: per-proc allocation chunk in words")
 	mlRegion := flag.Int("ml-region", 512, "mlalloc: per-collector copy region in words")
-	fairLocks := flag.Bool("fair-locks", false, "FIFO claim/release locks on the hot paths (rings, reply waits, mux inbox, admission guards) instead of TAS spin locks")
 	flag.Parse()
 
 	if *shards > 1 || *mux {
@@ -114,7 +113,6 @@ func main() {
 			DeadlineTicks:  *deadline,
 			IdleTicks:      *idle,
 			StealMin:       *steal,
-			FairLocks:      *fairLocks,
 			RebalanceTicks: *rebalance,
 			Tick:           *tick,
 			Quantum:        *quantum,
@@ -163,7 +161,6 @@ func main() {
 		Tick:          *tick,
 		Tracer:        tr,
 		MLWorld:       world,
-		FairLocks:     *fairLocks,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -259,9 +256,9 @@ func runFabric(opts shard.Options) {
 	if opts.Mux {
 		front = fmt.Sprintf("mux/pollers=%d", opts.Pollers)
 	}
-	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks fair-locks=%v front=%s autoscale=%v)\n",
+	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks front=%s autoscale=%v)\n",
 		fab.Addr(), opts.Shards, opts.BackendProcs, opts.MaxInFlight, opts.RebalanceTicks,
-		opts.FairLocks, front, opts.Autoscale)
+		front, opts.Autoscale)
 	start := time.Now()
 	for _, r := range fab.Runners() {
 		opts.Spawn(r)

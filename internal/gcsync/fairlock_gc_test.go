@@ -1,7 +1,7 @@
 package gcsync
 
 // Regression coverage for the fair claim/release protocol's GC
-// composition (extends TestGCAwareLockSpinnerJoins): claimants parked
+// composition (MPL's lockTake discipline): claimants parked
 // in a FairLock's FIFO queue during a stop-the-world must not stall the
 // parallel collection.  The fair queue is the worst case for the MPL
 // lockTake discipline — the holder never releases during the stop and
@@ -114,11 +114,11 @@ func TestFairLockSaturatedQueueDoesNotStallSTW(t *testing.T) {
 }
 
 // TestLockFactoryPollsIffWorld: the fabric's one lock constructor must
-// install the GC-section poll exactly when it is handed a world, in both
-// lock families.  A nil *World inside the interface — what an unset
-// serve.Options.MLWorld becomes when passed straight through — counts as
-// no world: either family's poll would dereference it on the first Lock,
-// so surviving Lock is the proof the poll was left out.
+// install the GC-section poll exactly when it is handed a world.  A nil
+// *World inside the interface — what an unset serve.Options.MLWorld
+// becomes when passed straight through — counts as no world: the poll
+// would dereference it on the first Lock, so surviving Lock is the
+// proof the poll was left out.
 func TestLockFactoryPollsIffWorld(t *testing.T) {
 	live := NewWorld(parCfg(1))
 	sections := func() int64 {
@@ -132,25 +132,20 @@ func TestLockFactoryPollsIffWorld(t *testing.T) {
 		{"typed-nil", (*World)(nil)},
 		{"live", live},
 	}
-	for _, fair := range []bool{false, true} {
-		for _, tc := range worlds {
-			lock := syncx.LockFactory(fair, tc.w, nil)()
-			if _, isFair := lock.(*syncx.FairLock); isFair != fair {
-				t.Errorf("fair=%v world=%s: built a %T", fair, tc.name, lock)
-			}
-			// A pending section with no plan and an unbound goroutine: a
-			// polling acquisition counts one section entry and yields.
-			live.gcFlag.Store(true)
-			before := sections()
-			lock.Lock()
-			if lock.TryLock() {
-				t.Errorf("fair=%v world=%s: TryLock succeeded on a held lock", fair, tc.name)
-			}
-			lock.Unlock()
-			live.gcFlag.Store(false)
-			if polled := sections() > before; polled != (tc.w == live) {
-				t.Errorf("fair=%v world=%s: polled the live world = %v", fair, tc.name, polled)
-			}
+	for _, tc := range worlds {
+		lock := syncx.FairFactory(tc.w, nil)()
+		// A pending section with no plan and an unbound goroutine: a
+		// polling acquisition counts one section entry and yields.
+		live.gcFlag.Store(true)
+		before := sections()
+		lock.Lock()
+		if lock.TryLock() {
+			t.Errorf("world=%s: TryLock succeeded on a held lock", tc.name)
+		}
+		lock.Unlock()
+		live.gcFlag.Store(false)
+		if polled := sections() > before; polled != (tc.w == live) {
+			t.Errorf("world=%s: polled the live world = %v", tc.name, polled)
 		}
 	}
 }

@@ -25,9 +25,9 @@
 //
 // Constraints inherited from the paper's design: a proc must not spin
 // on a mutex held by a proc that is blocked in a collection unless the
-// spin is GC-aware (spinlock.GCAware), and a proc that stops allocating
-// for a long stretch should call CleanPoint periodically or Detach so
-// it cannot stall a collection.
+// wait is GC-aware (a syncx.FairLock over this world), and a proc that
+// stops allocating for a long stretch should call CleanPoint
+// periodically or Detach so it cannot stall a collection.
 package gcsync
 
 import (

@@ -2,12 +2,9 @@ package gcsync
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/mlheap"
-	"repro/internal/spinlock"
 )
 
 // parCfg sizes a world so the parallel collection path actually runs
@@ -36,72 +33,6 @@ func TestRecordNoGCPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Record no-GC path allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// TestGCAwareLockSpinnerJoins is the MPL scenario: a proc spinning on a
-// held GC-aware lock must join a pending collection mid-spin, so the
-// collection completes even though the lock is never released.  Without
-// the GCAware wrapper the spinner would never reach a clean point and
-// the world would deadlock here.
-func TestGCAwareLockSpinnerJoins(t *testing.T) {
-	w := NewWorld(parCfg(2))
-	lock := spinlock.GCAware(spinlock.NewTAS, w)()
-
-	// The lock is held by this test goroutine — which is NOT an attached
-	// proc — for the entire collection.  Both procs attach before any
-	// allocation so the barrier always awaits both.
-	lock.Lock()
-	a, b := w.Attach(), w.Attach()
-
-	var gcDone atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-
-	// Proc A exhausts the nursery and raises a collection, then waits at
-	// the barrier for proc B.
-	go func() {
-		defer wg.Done()
-		defer a.Detach()
-		var root mlheap.Value = mlheap.Nil
-		a.AddRoot(&root)
-		defer a.RemoveRoot(&root)
-		for w.GCs() == 0 {
-			root = a.Record(mlheap.Int(1), root)
-		}
-	}()
-
-	// Proc B binds its goroutine and spins on the held lock.  Its only
-	// clean point is the one the GC-aware spin loop takes.
-	go func() {
-		defer wg.Done()
-		defer b.Detach()
-		b.Bind()
-		defer b.Unbind()
-		lock.Lock()
-		// The lock was only released after the collection completed.
-		if !gcDone.Load() {
-			t.Error("spinner acquired the lock before the collection finished")
-		}
-		lock.Unlock()
-	}()
-
-	// Wait for the collection to complete WHILE the lock is still held:
-	// proves the spinner joined rather than convoying the stop.
-	deadline := time.Now().Add(10 * time.Second)
-	for w.GCs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("collection did not complete while lock was held: spinner never joined")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	gcDone.Store(true)
-	lock.Unlock()
-	wg.Wait()
-
-	snap := w.Heap().Metrics().Snapshot()
-	if snap.Get("gcsync.section_entries") == 0 {
-		t.Fatal("GC-aware spin path took no section entries")
 	}
 }
 

@@ -4,100 +4,34 @@ package netpoll
 // of the MP front's hot path, so it is built on raw syscalls and plain
 // data — no goroutines, channels, or select, and no imports that would
 // smuggle them in.  Same scanner as internal/serve's and
-// internal/shard's.
+// internal/shard's (internal/purity).
 
 import (
-	"go/parser"
-	"go/scanner"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"repro/internal/purity"
 )
 
-func netpollSources(t *testing.T) []string {
-	t.Helper()
-	ents, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []string
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			files = append(files, name)
-		}
-	}
-	if len(files) == 0 {
-		t.Fatal("no sources found")
-	}
-	return files
+var purityRule = purity.Rule{
+	Dir:     ".",
+	Subject: "netpoll must use raw syscalls only",
+	// The shared surface and the platform backends.
+	Required: []string{"netpoll.go", "netpoll_linux.go", "netpoll_fallback.go"},
+	Banned: map[string]string{
+		"net/http": "spawns goroutines per connection, bypassing the MP scheduler",
+		"sync":     "raw Go synchronization; a Poller is single-owner by contract",
+		"net":      "netpoll works on raw fds; the net package's runtime poller must stay out",
+		"os":       "os.File wraps fds back into the runtime poller",
+	},
 }
 
-func TestNetpollUsesOnlyMPPrimitives(t *testing.T) {
-	forbidden := map[token.Token]string{
-		token.GO:     "go statement",
-		token.CHAN:   "chan type",
-		token.ARROW:  "channel send/receive",
-		token.SELECT: "select statement",
-	}
-	for _, file := range netpollSources(t) {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fset := token.NewFileSet()
-		var s scanner.Scanner
-		s.Init(fset.AddFile(file, fset.Base(), len(src)), src, nil, 0)
-		for {
-			pos, tok, _ := s.Scan()
-			if tok == token.EOF {
-				break
-			}
-			if why, bad := forbidden[tok]; bad {
-				t.Errorf("%s: %s — netpoll must use raw syscalls only", fset.Position(pos), why)
-			}
-		}
-	}
-}
+func TestNetpollUsesOnlyMPPrimitives(t *testing.T) { purityRule.Tokens(t) }
 
 // TestPurityScanCoversNetpollFiles pins the scan's coverage: the shared
 // surface and the platform backends must all be present in the directory
 // the scanner iterates, so a rename cannot silently drop one from the
 // purity rule.  Build tags keep only one backend in any given build, but
 // both files sit in the directory and both get scanned.
-func TestPurityScanCoversNetpollFiles(t *testing.T) {
-	required := []string{"netpoll.go", "netpoll_linux.go", "netpoll_fallback.go"}
-	have := map[string]bool{}
-	for _, f := range netpollSources(t) {
-		have[f] = true
-	}
-	for _, want := range required {
-		if !have[want] {
-			t.Errorf("purity scan does not cover %s — file missing or renamed", want)
-		}
-	}
-}
+func TestPurityScanCoversNetpollFiles(t *testing.T) { purityRule.Covers(t) }
 
-func TestNetpollForbiddenImports(t *testing.T) {
-	banned := map[string]string{
-		"net/http": "spawns goroutines per connection, bypassing the MP scheduler",
-		"sync":     "raw Go synchronization; a Poller is single-owner by contract",
-		"net":      "netpoll works on raw fds; the net package's runtime poller must stay out",
-		"os":       "os.File wraps fds back into the runtime poller",
-	}
-	for _, file := range netpollSources(t) {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if why, bad := banned[path]; bad {
-				t.Errorf("%s imports %s: %s", filepath.Base(file), path, why)
-			}
-		}
-	}
-}
+func TestNetpollForbiddenImports(t *testing.T) { purityRule.Imports(t) }

@@ -121,7 +121,7 @@ func (srv *Server) handleMLAlloc(req *Request) Response {
 	// Publish the list head into the shared registry and mix in the
 	// value another request left there.  The read must extract the Int
 	// while the lock is held: after unlock the slot can be overwritten
-	// and the old value collected.  The lock is GC-aware, so spinning
+	// and the old value collected.  The lock is GC-aware, so waiting
 	// here can never convoy a collection raised by another proc.
 	slot := int(seed) % mlSharedSlots
 	if slot < 0 {

@@ -133,12 +133,6 @@ type Options struct {
 	// waiting on a serving-path lock joins or helps a pending collection
 	// instead of convoying it.
 	MLWorld *gcsync.World
-	// FairLocks replaces the TAS spin locks guarding the admission
-	// semaphores, state lock, and mlalloc registry lock with the FIFO
-	// claim/release locks (syncx.FairLock): contenders queue in claim
-	// order and releases hand off instead of re-racing, so under skew no
-	// dispatcher loses the acquisition race repeatedly.  Off by default.
-	FairLocks bool
 }
 
 // AccessLogBytes bounds the in-memory access log (/log, AccessLog) to its
@@ -272,7 +266,7 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 	// lock poll the GC section on every acquisition: these are exactly
 	// the locks a stopped-for-collection worker may hold, and a waiter
 	// that cannot reach a clean point would convoy the whole stop.
-	lockf := syncx.LockFactory(opts.FairLocks, opts.MLWorld, nil)
+	lockf := syncx.FairFactory(opts.MLWorld, nil)
 	srv := &Server{
 		sys:     sys,
 		pl:      sys.Platform(),
@@ -330,7 +324,6 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 		srv.evRespond = srv.tracer.Define("serve.respond")
 		srv.evDrain = srv.tracer.Define("serve.drain")
 	}
-	reg.Counter("serve.read_parks") // reads 0 now; the bench harness parses the name
 	srv.ccfg = ConnConfig{
 		Clock:        srv.clock,
 		Park:         srv.park,
@@ -348,6 +341,17 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 			NamedRegistry{Name: "mlheap", Reg: opts.MLWorld.Heap().Metrics()})
 	}
 	return srv, nil
+}
+
+// Locks returns the serving path's fair locks — the items and slots
+// semaphores' guards, the state lock and, with an ML world, the mlalloc
+// registry lock — so a host can check their family and GC world.
+func (srv *Server) Locks() []core.Lock {
+	ls := []core.Lock{srv.items.Guard(), srv.slots.Guard(), srv.state}
+	if srv.mlLock != nil {
+		ls = append(ls, srv.mlLock)
+	}
+	return ls
 }
 
 // Addr returns the listener's address (useful with ":0"); nil in

@@ -1,9 +1,9 @@
 package shard
 
-// End-to-end coverage for Options.FairLocks: the fabric serving
-// correctly with every hot-path lock swapped for the FIFO claim/release
-// protocol, on both fronts, and the new wait instruments surfacing on
-// /fabricz.
+// Coverage for the fabric's one lock family: every cross-world lock is
+// a FIFO claim/release lock (syncx.FairLock), polling the member's GC
+// world on an MLAlloc fabric; the fabric serves correctly over them on
+// both fronts, and their wait instrument surfaces on /fabricz.
 
 import (
 	"fmt"
@@ -11,14 +11,62 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/spinlock"
+	"repro/internal/syncx"
 )
 
+// TestFabricLocksAreFair pins the lock family: on a default fabric and
+// on an MLAlloc one, every member's ring lock, the mux inbox, and each
+// member server's state lock and semaphore guards are FairLocks, and
+// each polls exactly its member's world — none without MLAlloc (the
+// inbox never: it is front-only).
+func TestFabricLocksAreFair(t *testing.T) {
+	check := func(name string, l core.Lock, want spinlock.GCWorld) {
+		t.Helper()
+		f, ok := l.(*syncx.FairLock)
+		if !ok {
+			t.Errorf("%s: %T, want *syncx.FairLock", name, l)
+			return
+		}
+		if f.World() != want {
+			t.Errorf("%s: polls the wrong GC world", name)
+		}
+	}
+	for _, opts := range []Options{
+		{Shards: 2, Mux: true, Pollers: 2},
+		mlOpts(Options{Shards: 2}),
+	} {
+		tf := startFabric(t, opts, nil)
+		for _, b := range tf.fab.mem.Load().shards {
+			var world spinlock.GCWorld
+			nlocks := 3 // items and slots guards, state lock
+			if opts.MLAlloc {
+				world = b.world
+				nlocks++ // mlalloc registry lock
+			}
+			check(fmt.Sprintf("member %d ring", b.id), b.ring.lock, world)
+			locks := b.srv.Locks()
+			if len(locks) != nlocks {
+				t.Errorf("member %d server: %d locks, want %d", b.id, len(locks), nlocks)
+			}
+			for i, l := range locks {
+				check(fmt.Sprintf("member %d server lock %d", b.id, i), l, world)
+			}
+		}
+		for _, p := range tf.fab.pollers {
+			check(fmt.Sprintf("poller %d inbox", p.id), p.inbox.lock, nil)
+		}
+	}
+}
+
 // TestFabricFairLocksEndToEnd drives concurrent keep-alive clients
-// through a fair-locked fabric: every ring push/pop, steal claim, and
+// through a default fabric: every ring push/pop, steal claim, and
 // reply wait goes through the claim/release path, and every request
 // must still be answered correctly.
 func TestFabricFairLocksEndToEnd(t *testing.T) {
-	tf := startFabric(t, Options{Shards: 2, FairLocks: true}, nil)
+	tf := startFabric(t, Options{Shards: 2}, nil)
 	const clients, reqs = 4, 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*reqs)
@@ -51,7 +99,7 @@ func TestFabricFairLocksEndToEnd(t *testing.T) {
 		t.Error(err)
 	}
 
-	// /fabricz must surface the fair-lock state and wait instruments.
+	// /fabricz must surface the claim-wait instrument.
 	kc := dialKA(t, tf.addr())
 	if err := kc.send("/fabricz", "Connection: close"); err != nil {
 		t.Fatal(err)
@@ -59,9 +107,6 @@ func TestFabricFairLocksEndToEnd(t *testing.T) {
 	st, body, err := kc.recv(10 * time.Second)
 	if err != nil || st != 200 {
 		t.Fatalf("/fabricz: status %d err %v", st, err)
-	}
-	if !strings.Contains(string(body), "fair_locks true") {
-		t.Errorf("/fabricz does not report fair_locks true:\n%s", body)
 	}
 	if !strings.Contains(string(body), "ring_waits ") {
 		t.Errorf("/fabricz does not report ring_waits:\n%s", body)
@@ -72,7 +117,7 @@ func TestFabricFairLocksEndToEnd(t *testing.T) {
 // acceptor→poller handoff lock is a FairLock, and the poller pool must
 // still adopt and serve connections.
 func TestFabricFairLocksMux(t *testing.T) {
-	tf := startFabric(t, Options{Shards: 2, Mux: true, Pollers: 2, FairLocks: true}, nil)
+	tf := startFabric(t, Options{Shards: 2, Mux: true, Pollers: 2}, nil)
 	for i := 0; i < 3; i++ {
 		kc := dialKA(t, tf.addr())
 		msg := fmt.Sprintf("mux%d", i)
@@ -84,23 +129,5 @@ func TestFabricFairLocksMux(t *testing.T) {
 			t.Fatalf("request %d: status %d body %q err %v", i, st, body, err)
 		}
 		kc.nc.Close()
-	}
-}
-
-// TestFabricSpinBaselineReportsFairOff pins the ablation contract: the
-// default (spin) fabric reports fair_locks false on /fabricz, so the
-// CI soak and bench legs can assert which path they measured.
-func TestFabricSpinBaselineReportsFairOff(t *testing.T) {
-	tf := startFabric(t, Options{Shards: 2}, nil)
-	kc := dialKA(t, tf.addr())
-	if err := kc.send("/fabricz", "Connection: close"); err != nil {
-		t.Fatal(err)
-	}
-	st, body, err := kc.recv(10 * time.Second)
-	if err != nil || st != 200 {
-		t.Fatalf("/fabricz: status %d err %v", st, err)
-	}
-	if !strings.Contains(string(body), "fair_locks false") {
-		t.Errorf("/fabricz does not report fair_locks false:\n%s", body)
 	}
 }

@@ -232,7 +232,7 @@ func newScratch(batchMax int) *scratch {
 // request (answering /fabricz and /scale inline — the fabric's own
 // endpoints — and enrolling the rest in cells bound to sc.grp), then
 // forward each run of consecutive same-target requests as one multi-push
-// (one spinlock acquisition per run instead of per request), shedding
+// (one ring-lock acquisition per run instead of per request), shedding
 // with 503 where a ring is full, waking each target's idle intake.
 // sc.grp is sealed at the number of cells pushed, and forwardBatch
 // reports whether that already completes it (all inline, shed, or
@@ -415,9 +415,7 @@ func (fab *Fabric) statusResponse() serve.Response {
 	if n := len(rw.Counts); n > 0 {
 		rwOver = rw.Counts[n-1] // claims past the largest bound: the tail the protocol bounds
 	}
-	body += fmt.Sprintf("fair_locks %v ring_waits %d ring_wait_over %d reply_spin %d reply_park %d\n",
-		fab.opts.FairLocks, rw.Count, rwOver,
-		snap.Get("shard.reply_spin"), snap.Get("shard.reply_park"))
+	body += fmt.Sprintf("ring_waits %d ring_wait_over %d\n", rw.Count, rwOver)
 	// Full wait bucket dumps (bound:count, last bucket = past the largest
 	// bound) so the bench harness can record the distributions: ring claim
 	// waits in claim-loop yields; reply waits in ticks and (being mostly

@@ -52,23 +52,23 @@ import (
 	"repro/internal/threads"
 )
 
-// lockFactory builds the locks on the fabric's cross-world hot paths —
-// the forward rings (world = the member's ML world, nil without
-// Options.MLAlloc) and the mux accept inbox (nil) — in the family
-// Options.FairLocks selects.  On an ML member either family polls the
-// GC section at every acquisition: the ring's two sides live in
+// lockFactory builds the fair lock on each of the fabric's cross-world
+// hot paths — the forward rings (world = the member's ML world, nil
+// without Options.MLAlloc) and the mux accept inbox (nil).  On an ML
+// member every claim polls the GC section: the ring's two sides live in
 // different worlds (front threads push, the member's procs pop), so
 // whichever side waits mid-collection helps the copy or joins the
 // barrier instead of convoying the stop — the MPL lockTake move.  Every
-// contended fair claim's queue wait (in claim-loop yields) is charged
-// to the shard.ring_wait_ticks histogram.  The observer reads fab.m
+// contended claim's queue wait (in claim-loop yields) is charged to the
+// shard.ring_wait_ticks histogram.  The observer reads fab.m
 // lazily: backends and pollers are built before New populates the
 // instrument struct, and nothing locks until the host starts the
 // Runners.
 func (fab *Fabric) lockFactory(world *gcsync.World) core.LockFactory {
-	return syncx.LockFactory(fab.opts.FairLocks, world, func(iters int64) {
+	return syncx.FairFactory(world, func(iters int64) {
 		if h := fab.m.ringWaitTicks; h != nil && iters > 0 {
-			h.Observe(proc.Self(), iters)
+			id, _ := proc.TrySelf() // a host goroutine may hold no proc
+			h.Observe(id, iters)
 		}
 	})
 }
@@ -216,7 +216,6 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 		NoListener:         true,
 		ShardID:            slot,
 		MLWorld:            world,
-		FairLocks:          fab.opts.FairLocks,
 		MaxInFlight:        fab.opts.MaxInFlight,
 		QueueDepth:         fab.opts.QueueDepth,
 		DeadlineTicks:      fab.opts.DeadlineTicks,

@@ -22,7 +22,7 @@ package shard
 // cannot stop every other connection's progress.
 //
 // The purity rule holds: poller threads are front MP threads
-// (threads.Fork), the inbox is a core spinlock, and all socket I/O is
+// (threads.Fork), the inbox is a core lock, and all socket I/O is
 // raw fd reads/writes through serve's resumable path — no goroutines,
 // channels, or runtime netpoller involvement.  A poller's two sleeps
 // (readiness wait, reply-poll nap) run under Blocking: no proc held.
@@ -40,7 +40,7 @@ import (
 )
 
 // muxInbox is the acceptor→poller handoff: the only structure in the
-// mux shared across threads, guarded by a core spinlock.
+// mux shared across threads, guarded by a FairLock.
 type muxInbox struct {
 	lock core.Lock
 	nc   []net.Conn
@@ -120,7 +120,7 @@ type poller struct {
 // newPoller builds one poller thread's world.  The inbox guard comes
 // from Fabric.lockFactory — the accept inbox is the mux front's one
 // cross-thread lock, so under a connection storm it is where an unfair
-// TAS race would starve one side.
+// acquisition race would starve one side.
 func newPoller(id int, lockf core.LockFactory) (*poller, error) {
 	np, err := netpoll.New()
 	if err != nil {

@@ -2,101 +2,35 @@ package shard
 
 // The purity rule extends to the fabric: the front acceptor, connection
 // threads, forward rings, intake threads, and rebalancer are all built
-// strictly on the MP public surface.  Same scanner as internal/serve's:
-// tokenize every non-test source and reject the Go concurrency keywords
-// and the imports that would smuggle them in.  The only OS-level
-// concurrency the fabric needs is the host goroutine per Runners entry —
-// started by the host, never in here.
+// strictly on the MP public surface.  Same scanner as internal/serve's
+// (internal/purity): tokenize every non-test source and reject the Go
+// concurrency keywords and the imports that would smuggle them in.  The
+// only OS-level concurrency the fabric needs is the host goroutine per
+// Runners entry — started by the host, never in here.
 
 import (
-	"go/parser"
-	"go/scanner"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"repro/internal/purity"
 )
 
-func shardSources(t *testing.T) []string {
-	t.Helper()
-	ents, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []string
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			files = append(files, name)
-		}
-	}
-	if len(files) == 0 {
-		t.Fatal("no sources found")
-	}
-	return files
+var purityRule = purity.Rule{
+	Dir:     ".",
+	Subject: "the fabric must use MP primitives only",
+	// The files carrying the forward, batching, and stealing hot paths.
+	Required: []string{"shard.go", "front.go", "mux.go", "ring.go", "reply.go", "steal.go", "rebalance.go", "route.go", "member.go"},
+	Banned: map[string]string{
+		"net/http": "spawns goroutines per connection, bypassing the MP scheduler",
+		"sync":     "raw Go synchronization; use core locks / syncx",
+	},
 }
 
-func TestFabricUsesOnlyMPPrimitives(t *testing.T) {
-	forbidden := map[token.Token]string{
-		token.GO:     "go statement",
-		token.CHAN:   "chan type",
-		token.ARROW:  "channel send/receive",
-		token.SELECT: "select statement",
-	}
-	for _, file := range shardSources(t) {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fset := token.NewFileSet()
-		var s scanner.Scanner
-		s.Init(fset.AddFile(file, fset.Base(), len(src)), src, nil, 0)
-		for {
-			pos, tok, _ := s.Scan()
-			if tok == token.EOF {
-				break
-			}
-			if why, bad := forbidden[tok]; bad {
-				t.Errorf("%s: %s — the fabric must use MP primitives only", fset.Position(pos), why)
-			}
-		}
-	}
-}
+func TestFabricUsesOnlyMPPrimitives(t *testing.T) { purityRule.Tokens(t) }
 
 // TestPurityScanCoversHotPathFiles pins the scan's coverage: the files
 // carrying the forward, batching, and stealing hot paths must all be
 // present in the directory listing the scanners iterate, so a rename or
 // split cannot silently drop one from the purity rule.
-func TestPurityScanCoversHotPathFiles(t *testing.T) {
-	required := []string{"shard.go", "front.go", "mux.go", "ring.go", "reply.go", "steal.go", "rebalance.go", "route.go", "member.go"}
-	have := map[string]bool{}
-	for _, f := range shardSources(t) {
-		have[f] = true
-	}
-	for _, want := range required {
-		if !have[want] {
-			t.Errorf("purity scan does not cover %s — file missing or renamed", want)
-		}
-	}
-}
+func TestPurityScanCoversHotPathFiles(t *testing.T) { purityRule.Covers(t) }
 
-func TestFabricForbiddenImports(t *testing.T) {
-	banned := map[string]string{
-		"net/http": "spawns goroutines per connection, bypassing the MP scheduler",
-		"sync":     "raw Go synchronization; use core locks / syncx",
-	}
-	for _, file := range shardSources(t) {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if why, bad := banned[path]; bad {
-				t.Errorf("%s imports %s: %s", filepath.Base(file), path, why)
-			}
-		}
-	}
-}
+func TestFabricForbiddenImports(t *testing.T) { purityRule.Imports(t) }

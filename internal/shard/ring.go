@@ -8,8 +8,8 @@ package shard
 // The ring's two sides live in different thread systems, and the rule
 // for whatever crosses that boundary is: a primitive wakes on the system
 // it was built on; the waker never parks on a foreign scheduler.  The
-// data moves under a core lock — the paper's spinlock, or its
-// fair/GC-aware variants from syncx.LockFactory — which parks nobody.
+// data moves under a core lock — a syncx.FairLock from
+// Fabric.lockFactory, the paper's LOCK made fair — which parks nobody.
 // The consumer's idleness is a threads.Wake the backend owns
 // (backend.wake): the intake blocks on it, no proc held, and every push
 // signals it — one load while a signal is already pending.
@@ -35,7 +35,7 @@ type job struct {
 
 // ring is the bounded MPSC forward ring.  Occupancy is mirrored in an
 // atomic so load probes (rebalancer, steal victim selection) read depth
-// without touching the spinlock the hot path contends on.
+// without touching the lock the hot path contends on.
 type ring struct {
 	lock   core.Lock
 	buf    []job
@@ -60,7 +60,7 @@ func (r *ring) close() {
 
 // pushN appends up to len(js) jobs under one lock acquisition and
 // returns how many fit — the multi-push a front connection thread uses
-// to forward a whole pipelined batch for the price of one spinlock
+// to forward a whole pipelined batch for the price of one lock
 // round-trip.  The admitted jobs are a prefix of js; the caller sheds
 // the rest with 503.
 func (r *ring) pushN(js []job) int {

@@ -110,18 +110,6 @@ type Options struct {
 	// HysteresisRounds is how many consecutive periods must propose the
 	// same donor→recipient shift before it is applied (default 2).
 	HysteresisRounds int
-	// FairLocks swaps the fabric's hot-path spin locks for the FIFO
-	// claim/release protocol (syncx.FairLock): the forward rings'
-	// push/pop/steal lock, the mux accept inbox, and each backend's
-	// admission guards queue contenders in claim order and hand off on
-	// release instead of re-racing — under skewed load no front thread
-	// can lose the acquisition race unboundedly, flattening the wait
-	// tail.  Claim waits are charged to the shard.ring_wait_ticks
-	// histogram (in claim-loop yields).  On an MLAlloc fabric the fair
-	// claim loop polls the GC section exactly as the GC-aware spin locks
-	// do, so a saturated claim queue never stalls a collection.  Off by
-	// default.
-	FairLocks bool
 	// DeadlineTicks is the per-request deadline (front clock ticks from
 	// first byte; forwarded with the request, default 2000).
 	DeadlineTicks int64
@@ -354,10 +342,8 @@ type fabricMetrics struct {
 	waitNS     *metrics.Histogram // wall-clock reply wait: sub-tick waits read 0 above
 	intakeWake *metrics.Histogram // wall-clock signal → intake running
 
-	// Fair claim/release instruments (Options.FairLocks): how long each
-	// contended claim waited in the FIFO queue, in claim-loop yields.
-	// Registered unconditionally so ablation runs diff the same snapshot
-	// shape; stays zero on the spin path.
+	// How long each contended ring or inbox claim waited in its
+	// FairLock's FIFO queue, in claim-loop yields.
 	ringWaitTicks *metrics.Histogram
 
 	writeBatch *metrics.Histogram // responses coalesced per front socket write
@@ -507,10 +493,6 @@ func New(opts Options) (*Fabric, error) {
 	}
 	bounds := []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 	nsBounds := []int64{1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7}
-	// A reply wait is one event wait — no spin, no clock park — so these
-	// read 0; registered still, because the bench harness parses them.
-	reg.Counter("shard.reply_spin")
-	reg.Counter("shard.reply_park")
 	fab.m = fabricMetrics{
 		accepted:   reg.Counter("shard.accepted"),
 		acceptErrs: reg.Counter("shard.accept_errors"),
@@ -713,7 +695,7 @@ func (fab *Fabric) emit(ev trace.EventID, arg int64) {
 // intake is shard b's ring consumer: an MP thread of the backend's own
 // system, so injected requests enter the shard's admission pipeline from
 // inside its scheduling world.  Each pass drains a batch from the ring —
-// one spinlock acquisition for up to BatchMax jobs — bounded by the
+// one ring-lock acquisition for up to BatchMax jobs — bounded by the
 // shard's queue headroom: when the shard is saturated, jobs deliberately
 // stay in the ring where an idle sibling's intake can steal them.  With
 // its own ring empty the intake steals from the most loaded sibling, or

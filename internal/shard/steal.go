@@ -11,7 +11,7 @@ package shard
 //
 // The claim/release discipline follows Chalmers & Pedersen's handoff
 // for cooperatively scheduled runtimes: the thief takes the victim's
-// ring spinlock with TryLock only, and aborts on contention instead of
+// ring lock with TryLock only, and aborts on contention instead of
 // spinning — the lock being held means the owner (or another thief) is
 // already draining that ring, so there is nothing worth waiting for,
 // and a thief must never busy-spin on a foreign shard's hot lock.  Two
@@ -29,8 +29,8 @@ import (
 // from the most-loaded sibling ring, returning how many jobs landed in
 // dst; 0 when no sibling is loaded enough or the claim aborted.  Called
 // by shard b's intake thread — a backend-world proc, which is safe on
-// both sides: stealN touches only the victim ring's spinlock (spinlocks
-// never park on foreign schedulers), and the front-registry counters
+// both sides: stealN touches only the victim ring's lock (a FairLock
+// never parks on a foreign scheduler), and the front-registry counters
 // mask the proc index.
 func (fab *Fabric) steal(b *backend, dst []job) int {
 	// A member that is not active must not pull new work in: a joining

@@ -41,6 +41,18 @@ type Lock interface {
 // just as the paper's functors are parameterized by structures.
 type Factory func() Lock
 
+// GCWorld is the slice of gcsync.World that syncx.FairLock polls on
+// every claim-loop iteration: a lock-free flag saying a stop-the-world
+// collection is pending, and a clean point the waiter can take mid-wait.
+// Declared here so this package stays dependency-free.
+type GCWorld interface {
+	// InSection reports a pending or running collection (one atomic load).
+	InSection() bool
+	// SectionPoint joins or helps the pending collection; safe from any
+	// goroutine at any time.
+	SectionPoint()
+}
+
 // yieldEvery bounds pure spinning: with more spinners than CPUs a
 // non-yielding loop could starve the lock holder, so every spin strategy
 // calls runtime.Gosched periodically.
@@ -166,13 +178,9 @@ func (l *Backoff) Unlock() {
 // now-serving counter reaches it, eliminating the thundering herd at the
 // cost of strict ordering.
 //
-// syncx.FairLock extends this claim/release shape into the fair,
-// spin-free protocol the fabric's Options.FairLocks deploys: the same
-// ticket FIFO, but waiters yield cooperatively on every check instead
-// of spinning a budget, the claim loop doubles as a GC safe point
-// (GCWorld), and TryLock refuses to overtake a queued claim.  This
-// package keeps only the spinning flavors so the A1 ablation stays a
-// pure spin-strategy sweep.
+// syncx.FairLock, the serving fabric's one lock, is this shape made
+// fair and spin-free: waiters yield on every check, the claim loop is a
+// GC safe point (GCWorld), and TryLock never overtakes a queued claim.
 type Ticket struct {
 	next    atomic.Uint64
 	serving atomic.Uint64

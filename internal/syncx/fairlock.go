@@ -18,12 +18,12 @@
 //   - release: the holder advances the now-serving counter, handing the
 //     lock directly to the head claimant instead of re-opening a race.
 //
-// The claim loop is GC-aware in the sense of PR 9 (spinlock.GCAware,
-// MPL's Parallel_lockTake): when constructed over a GCWorld, every wait
-// iteration polls the world's section flag and enters/leaves the GC
-// section while queued, so a stop-the-world parallel collection
-// proceeds even with a full claim queue — a parked claimant helps copy
-// or joins the clean-point barrier, then resumes waiting for its grant.
+// The claim loop is GC-aware in the sense of MPL's Parallel_lockTake:
+// when constructed over a GCWorld, every wait iteration polls the
+// world's section flag and enters/leaves the GC section while queued,
+// so a stop-the-world parallel collection proceeds even with a full
+// claim queue — a parked claimant helps copy or joins the clean-point
+// barrier, then resumes waiting for its grant.
 package syncx
 
 import (
@@ -37,9 +37,8 @@ import (
 
 // FairLock is a FIFO claim/release lock satisfying spinlock.Lock (and
 // hence core.Lock): any proc may Unlock it, the zero value is unlocked,
-// and TryLock never jumps the claim queue.  Use NewFairLock /
-// FairFactory to construct; the zero value works but has no GC world or
-// observer.
+// and TryLock never jumps the claim queue.  FairFactory constructs
+// them; the zero value is a FairLock with no GC world or observer.
 type FairLock struct {
 	next    atomic.Uint64 // next ticket to hand out (tail of the claim queue)
 	serving atomic.Uint64 // ticket currently granted (head of the claim queue)
@@ -48,40 +47,22 @@ type FairLock struct {
 	observe func(iters int64) // optional: wait-time observer, in claim-loop yields
 }
 
-// NewFairLock returns an unlocked FairLock with no GC world or observer.
-func NewFairLock() *FairLock { return &FairLock{} }
-
-// FairFactory returns a lock factory producing independent FairLocks,
-// each polling w's GC section while queued (nil w disables the poll) and
-// reporting every contended claim's wait length — in claim-loop yields —
-// to observe (nil disables).  The factory slots anywhere the platform
-// takes a core.LockFactory, exactly as spinlock.GCAware does for the
-// spinning flavors.
+// FairFactory is the serving fabric's one lock constructor: it returns
+// a factory producing independent FairLock values, each polling w's GC
+// section while queued — so every acquisition is a GC safe point and a
+// stop-the-world is never stalled by a claim queue — and reporting every
+// claim's wait length, in claim-loop yields, to observe (nil disables).
+// A nil w, or a nil *T stored in w, disables the poll: callers pass their
+// optional *gcsync.World field straight through.
 func FairFactory(w spinlock.GCWorld, observe func(iters int64)) core.LockFactory {
+	if v := reflect.ValueOf(w); v.Kind() == reflect.Pointer && v.IsNil() {
+		w = nil
+	}
 	return func() core.Lock { return &FairLock{w: w, observe: observe} }
 }
 
-// LockFactory is the serving fabric's one lock constructor: the policy
-// bit picks the family (fair FIFO claim/release, or the default TAS
-// spin lock) and a non-nil world makes every acquisition a GC safe
-// point in either family — FairLock's inline poll, spinlock.GCAware
-// around the spin lock — so a stop-the-world is never stalled by a lock
-// queue.  A nil *T stored in world counts as no world: callers pass
-// their optional *gcsync.World field straight through.  observe
-// receives fair claim waits only; spin contention already reports
-// through spinlock.OnContention.
-func LockFactory(fair bool, world spinlock.GCWorld, observe func(iters int64)) core.LockFactory {
-	if v := reflect.ValueOf(world); v.Kind() == reflect.Pointer && v.IsNil() {
-		world = nil
-	}
-	switch {
-	case fair:
-		return FairFactory(world, observe)
-	case world != nil:
-		return spinlock.GCAware(core.NewMutexLock, world)
-	}
-	return core.NewMutexLock
-}
+// World reports the GC world this lock polls while queued (nil: none).
+func (f *FairLock) World() spinlock.GCWorld { return f.w }
 
 // TryLock claims the lock only if it is free *and* no claim is queued:
 // it atomically advances the ticket counter from the now-serving value.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFairLockBasic(t *testing.T) {
-	l := NewFairLock()
+	l := new(FairLock)
 	if d := l.QueueDepth(); d != 0 {
 		t.Fatalf("fresh lock QueueDepth = %d, want 0", d)
 	}
@@ -36,7 +36,7 @@ func TestFairLockBasic(t *testing.T) {
 // the exact moment the lock is released, because the release hands the
 // grant to the head claimant instead of re-opening a race.
 func TestFairLockTryLockNeverOvertakes(t *testing.T) {
-	l := NewFairLock()
+	l := new(FairLock)
 	l.Lock()        // holder: ticket 0
 	tk := l.claim() // queued claimant: ticket 1
 	if l.TryLock() {
@@ -67,7 +67,7 @@ func TestFairLockFIFOOrder(t *testing.T) {
 		workers = 8
 		rounds  = 50
 	)
-	l := NewFairLock()
+	l := new(FairLock)
 	var grants []uint64
 	s := threads.New(proc.New(procs), threads.Options{})
 	s.Run(func() {

@@ -61,15 +61,19 @@ func NewSemaphore(s core.Scheduler, initial int) *Semaphore {
 }
 
 // NewSemaphoreWith is NewSemaphore with the guard lock supplied by f —
-// the hook that lets servers sharing a gcsync heap guard their admission
-// semaphores with GC-aware locks (spinlock.GCAware), so a dispatcher
-// spinning for credits cannot convoy a pending collection.
+// the hook that lets the serving fabric guard its admission semaphores
+// with fair claim/release locks (FairFactory), which on a gcsync heap
+// poll the GC section, so a dispatcher waiting for credits cannot convoy
+// a pending collection.
 func NewSemaphoreWith(s core.Scheduler, initial int, f core.LockFactory) *Semaphore {
 	if initial < 0 {
 		panic("syncx: negative semaphore count")
 	}
 	return &Semaphore{s: s, lk: f(), count: initial, wait: queue.NewFifo[waiter]()}
 }
+
+// Guard returns the lock guarding the count and wait queue.
+func (m *Semaphore) Guard() core.Lock { return m.lk }
 
 // Acquire decrements the semaphore, blocking while the count is zero
 // (Dijkstra's P).
